@@ -54,9 +54,8 @@ mod tests {
 
     #[test]
     fn analyze_reports_all_designs() {
-        let dir = std::env::temp_dir().join("tigr_cli_analyze_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin").to_str().unwrap().to_string();
+        let dir = crate::io_util::TestDir::new();
+        let path = dir.file("g.bin");
         crate::io_util::save_graph(&tigr_graph::generators::star_graph(500), &path).unwrap();
 
         let args = Args::parse(&[path, "--k".into(), "8".into()]).unwrap();
@@ -71,7 +70,6 @@ mod tests {
         ] {
             assert!(out.contains(design), "{design} missing:\n{out}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -76,12 +76,7 @@ const USAGE: &str = "usage: tigr generate <rmat|ba|er|ws|grid|dataset> -o <file>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("tigr_cli_gen_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_str().unwrap().to_string()
-    }
+    use crate::io_util::TestDir;
 
     fn parse(s: &str) -> Args {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
@@ -89,7 +84,8 @@ mod tests {
 
     #[test]
     fn generates_rmat_to_binary() {
-        let path = tmp("r.bin");
+        let dir = TestDir::new();
+        let path = dir.file("r.bin");
         let out = run(&parse(&format!("rmat --scale 8 --edge-factor 4 -o {path}"))).unwrap();
         assert!(out.contains("256 nodes"));
         let g = crate::io_util::load_graph(&path).unwrap();
@@ -99,7 +95,8 @@ mod tests {
 
     #[test]
     fn generates_weighted_dataset_analog() {
-        let path = tmp("d.txt");
+        let dir = TestDir::new();
+        let path = dir.file("d.txt");
         let out = run(&parse(&format!(
             "dataset --name pokec --denominator 2048 --weighted -o {path}"
         )))
@@ -110,7 +107,8 @@ mod tests {
 
     #[test]
     fn unknown_model_is_rejected() {
-        let path = tmp("x.txt");
+        let dir = TestDir::new();
+        let path = dir.file("x.txt");
         let err = run(&parse(&format!("mystery -o {path}"))).unwrap_err();
         assert!(err.contains("unknown model"));
     }

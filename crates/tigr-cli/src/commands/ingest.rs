@@ -143,10 +143,8 @@ mod tests {
 
     #[test]
     fn ingests_batched_and_reingest_is_idempotent() {
-        let dir = std::env::temp_dir().join("tigr_cli_ingest_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("edges.txt");
+        let dir = crate::io_util::TestDir::new();
+        let file = dir.file("edges.txt");
         std::fs::write(
             &file,
             "# new edges beyond the 128-node base\n\
@@ -157,7 +155,6 @@ mod tests {
              1 0\n",
         )
         .unwrap();
-        let file = file.to_str().unwrap().to_string();
         let (server, addr) = ephemeral_mutable_server();
         let out = run(&parse(&format!(
             "--file {file} --addr {addr} --graph-name demo --batch 2"
@@ -179,12 +176,9 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(run(&parse("")).unwrap_err().contains("usage:"));
-        let dir = std::env::temp_dir().join("tigr_cli_ingest_bad_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("good.txt");
+        let dir = crate::io_util::TestDir::new();
+        let good = dir.file("good.txt");
         std::fs::write(&good, "0 1\n").unwrap();
-        let good = good.to_str().unwrap().to_string();
         let err = run(&parse(&format!("--file {good} --graph-name demo"))).unwrap_err();
         assert!(err.contains("--addr or --socket"), "{err}");
         let (server, addr) = ephemeral_mutable_server();
@@ -193,23 +187,21 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("--batch"), "{err}");
+        let missing = dir.file("missing.txt");
         let err = run(&parse(&format!(
-            "--file {}/missing.txt --addr {addr} --graph-name demo",
-            dir.display()
+            "--file {missing} --addr {addr} --graph-name demo"
         )))
         .unwrap_err();
         assert!(err.contains("cannot open"), "{err}");
-        let bad = dir.join("bad.txt");
+        let bad = dir.file("bad.txt");
         std::fs::write(&bad, "0 x\n").unwrap();
-        let bad = bad.to_str().unwrap().to_string();
         let err = run(&parse(&format!(
             "--file {bad} --addr {addr} --graph-name demo"
         )))
         .unwrap_err();
         assert!(err.contains("invalid destination"), "{err}");
-        let empty = dir.join("empty.txt");
+        let empty = dir.file("empty.txt");
         std::fs::write(&empty, "# nothing\n").unwrap();
-        let empty = empty.to_str().unwrap().to_string();
         let err = run(&parse(&format!(
             "--file {empty} --addr {addr} --graph-name demo"
         )))

@@ -112,27 +112,25 @@ const USAGE: &str = "usage: tigr prepare --graph <file> [--virtual K [--coalesce
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io_util::save_graph;
+    use crate::io_util::{save_graph, TestDir};
 
     fn parse(s: &str) -> Args {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
     }
 
-    fn fixture(dir_name: &str) -> (String, String) {
-        let dir = std::env::temp_dir().join(dir_name);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin").to_str().unwrap().to_string();
-        let cache = dir.join("cache").to_str().unwrap().to_string();
+    fn fixture() -> (TestDir, String, String) {
+        let dir = TestDir::new();
+        let path = dir.file("g.bin");
+        let cache = dir.file("cache");
         let g =
             tigr_graph::generators::rmat(&tigr_graph::generators::RmatConfig::graph500(7, 6), 3);
         save_graph(&g, &path).unwrap();
-        (path, cache)
+        (dir, path, cache)
     }
 
     #[test]
     fn warms_cache_for_a_following_run() {
-        let (path, cache) = fixture("tigr_cli_prepare_test");
+        let (_dir, path, cache) = fixture();
         let out = run(&parse(&format!(
             "--graph {path} --virtual 8 --coalesced --cache-dir {cache}"
         )))
@@ -155,7 +153,7 @@ mod tests {
 
     #[test]
     fn prepares_physical_transforms() {
-        let (path, cache) = fixture("tigr_cli_prepare_transform_test");
+        let (_dir, path, cache) = fixture();
         let out = run(&parse(&format!(
             "--graph {path} --transform udt --k 4 --cache-dir {cache} --direction push"
         )))
@@ -175,7 +173,7 @@ mod tests {
         if std::env::var_os("TIGR_CACHE_DIR").is_some() {
             return;
         }
-        let (path, _) = fixture("tigr_cli_prepare_dry_test");
+        let (_dir, path, _) = fixture();
         let out = run(&parse(&format!("--graph {path}"))).unwrap();
         assert!(out.contains("cache           off"), "{out}");
         assert!(out.contains("caching disabled"), "{out}");
@@ -183,7 +181,7 @@ mod tests {
 
     #[test]
     fn stats_lines_include_artifact_path_and_key() {
-        let (path, cache) = fixture("tigr_cli_prepare_artifact_test");
+        let (_dir, path, cache) = fixture();
         let out = run(&parse(&format!("--graph {path} --cache-dir {cache}"))).unwrap();
         let artifact = out.lines().find(|l| l.starts_with("artifact")).unwrap();
         assert!(artifact.contains(&cache), "{out}");
@@ -201,14 +199,14 @@ mod tests {
 
     #[test]
     fn zero_deadline_times_out_with_marker() {
-        let (path, _) = fixture("tigr_cli_prepare_deadline_test");
+        let (_dir, path, _) = fixture();
         let err = run(&parse(&format!("--graph {path} --deadline-ms 0"))).unwrap_err();
         assert!(err.starts_with(crate::commands::TIMEOUT_PREFIX), "{err}");
     }
 
     #[test]
     fn rejects_bad_flags() {
-        let (path, cache) = fixture("tigr_cli_prepare_err_test");
+        let (_dir, path, cache) = fixture();
         let err = run(&parse("--virtual 8")).unwrap_err();
         assert!(err.contains("usage:"), "{err}");
         let err = run(&parse(&format!(

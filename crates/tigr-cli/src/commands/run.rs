@@ -575,15 +575,15 @@ const USAGE: &str = "usage: tigr run <bfs|sssp|sswp|cc|pr|bc|khop|paths|lp|tc> -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io_util::TestDir;
 
     fn parse(s: &str) -> Args {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
     }
 
-    fn fixture() -> String {
-        let dir = std::env::temp_dir().join("tigr_cli_run_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin").to_str().unwrap().to_string();
+    fn fixture() -> (TestDir, String) {
+        let dir = TestDir::new();
+        let path = dir.file("g.bin");
         let g = tigr_graph::generators::with_uniform_weights(
             &tigr_graph::generators::rmat(&tigr_graph::generators::RmatConfig::graph500(8, 6), 3),
             1,
@@ -591,12 +591,12 @@ mod tests {
             4,
         );
         crate::io_util::save_graph(&g, &path).unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn runs_sssp_virtual_with_report() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!(
             "sssp --graph {path} --source 0 --virtual 10 --coalesced --report"
         )))
@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn runs_pagerank_original() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!("pr --graph {path}"))).unwrap();
         assert!(out.contains("pagerank: top node"));
         assert!(out.contains("representation  original"));
@@ -615,7 +615,7 @@ mod tests {
 
     #[test]
     fn frontier_modes_report_and_match() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let on = run(&parse(&format!("sssp --graph {path} --frontier sparse"))).unwrap();
         assert!(on.contains("frontier        sparse"));
         let off = run(&parse(&format!("sssp --graph {path} --frontier off"))).unwrap();
@@ -636,7 +636,7 @@ mod tests {
 
     #[test]
     fn cpu_path_reports_schedule_and_stats() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!(
             "sssp --graph {path} --cpu --cpu-schedule edge-balanced --threads 2 --stats"
         )))
@@ -650,7 +650,7 @@ mod tests {
 
     #[test]
     fn cpu_schedule_flag_implies_cpu_and_defaults_apply() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!(
             "cc --graph {path} --cpu-schedule virtual --frontier off"
         )))
@@ -668,7 +668,7 @@ mod tests {
 
     #[test]
     fn cpu_path_rejects_bad_schedule_and_bc() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let err = run(&parse(&format!("bfs --graph {path} --cpu-schedule chunky"))).unwrap_err();
         assert!(err.contains("invalid --cpu-schedule"));
         let err = run(&parse(&format!("bc --graph {path} --cpu"))).unwrap_err();
@@ -677,7 +677,7 @@ mod tests {
 
     #[test]
     fn direction_flag_runs_and_reports_every_analytic() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let values = |s: &str| -> u64 {
             s.lines()
                 .find(|l| l.contains("non-trivial values"))
@@ -709,7 +709,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_direction_and_cpu_pull_pagerank() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let err = run(&parse(&format!("bfs --graph {path} --direction sideways"))).unwrap_err();
         assert!(err.contains("invalid --direction"));
         // PageRank has no CPU gather side; the monotone analytics do.
@@ -719,7 +719,7 @@ mod tests {
 
     #[test]
     fn cpu_pull_and_auto_match_the_simulator() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let values = |s: &str| -> u64 {
             s.lines()
                 .find(|l| l.contains("non-trivial values"))
@@ -743,17 +743,15 @@ mod tests {
 
     #[test]
     fn rejects_bad_frontier_mode() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let err = run(&parse(&format!("bfs --graph {path} --frontier bitmap"))).unwrap_err();
         assert!(err.contains("invalid --frontier"));
     }
 
     #[test]
     fn cache_dir_hits_on_second_run_with_zero_work() {
-        let path = fixture();
-        let cache = std::env::temp_dir().join("tigr_cli_run_cache_test");
-        std::fs::remove_dir_all(&cache).ok();
-        let cache = cache.to_str().unwrap().to_string();
+        let (dir, path) = fixture();
+        let cache = dir.file("cache");
         let cmd = format!(
             "sssp --graph {path} --virtual 10 --coalesced --direction auto --stats --cache-dir {cache}"
         );
@@ -781,7 +779,7 @@ mod tests {
         if std::env::var_os("TIGR_CACHE_DIR").is_some() {
             return; // ambient cache directory: outcome is miss/hit, not off
         }
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!("bfs --graph {path} --stats"))).unwrap();
         assert!(out.contains("cache           off"), "{out}");
         // The CPU path appends the same cache lines after its own stats.
@@ -792,7 +790,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_times_out_with_marker() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         for cmd in [
             format!("sssp --graph {path} --deadline-ms 0"),
             format!("sssp --graph {path} --cpu --deadline-ms 0"),
@@ -809,21 +807,21 @@ mod tests {
 
     #[test]
     fn generous_deadline_does_not_fire() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!("bfs --graph {path} --deadline-ms 60000"))).unwrap();
         assert!(out.contains("non-trivial values"), "{out}");
     }
 
     #[test]
     fn rejects_bad_source() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let err = run(&parse(&format!("bfs --graph {path} --source 99999"))).unwrap_err();
         assert!(err.contains("out of range"));
     }
 
     #[test]
     fn rejects_unknown_analytic() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let err = run(&parse(&format!("coloring --graph {path}"))).unwrap_err();
         assert!(err.contains("unknown analytic"));
         // The rejection names the shared verb table.
@@ -833,7 +831,7 @@ mod tests {
 
     #[test]
     fn pipeline_workloads_run_from_the_cli() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let out = run(&parse(&format!("khop --graph {path} --source 0 --limit 2"))).unwrap();
         assert!(out.contains("khop from 0:"), "{out}");
         assert!(out.contains("within 2 hops"), "{out}");
@@ -853,7 +851,7 @@ mod tests {
 
     #[test]
     fn khop_widens_with_k_and_limit_arity_is_enforced() {
-        let path = fixture();
+        let (_dir, path) = fixture();
         let reached = |out: &str| -> u64 {
             out.lines()
                 .next()

@@ -149,26 +149,25 @@ const USAGE: &str = "usage: tigr serve --graph <file> [--name N] \
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io_util::TestDir;
 
     fn parse(s: &str) -> Args {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
     }
 
-    fn fixture(dir_name: &str) -> (String, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join(dir_name);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin").to_str().unwrap().to_string();
+    fn fixture() -> (TestDir, String) {
+        let dir = TestDir::new();
+        let path = dir.file("g.bin");
         let g =
             tigr_graph::generators::rmat(&tigr_graph::generators::RmatConfig::graph500(7, 6), 3);
         crate::io_util::save_graph(&g, &path).unwrap();
-        (path, dir)
+        (dir, path)
     }
 
     #[test]
     fn requires_graph_and_validates_flags() {
         assert!(run(&parse("")).unwrap_err().contains("usage:"));
-        let (path, _) = fixture("tigr_cli_serve_flags_test");
+        let (_dir, path) = fixture();
         let err = run(&parse(&format!("--graph {path} --workers 0"))).unwrap_err();
         assert!(err.contains("--workers"));
         let err = run(&parse(&format!("--graph {path} --duration never"))).unwrap_err();
@@ -183,16 +182,15 @@ mod tests {
 
     #[test]
     fn mutable_daemon_accepts_mutations() {
-        let (path, dir) = fixture("tigr_cli_serve_mutable_test");
-        let port_file = dir.join("port.txt");
-        let pf = port_file.to_str().unwrap().to_string();
+        let (dir, path) = fixture();
+        let pf = dir.file("port.txt");
         let serve_args = parse(&format!(
             "--graph {path} --name demo --mutable --duration 0.5 --port-file {pf}"
         ));
         let handle = std::thread::spawn(move || run(&serve_args));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
+            if let Ok(text) = std::fs::read_to_string(&pf) {
                 let text = text.trim().to_string();
                 if !text.is_empty() {
                     break text;
@@ -226,9 +224,8 @@ mod tests {
 
     #[test]
     fn parallel_daemon_serves_queries() {
-        let (path, dir) = fixture("tigr_cli_serve_parallel_test");
-        let port_file = dir.join("port.txt");
-        let pf = port_file.to_str().unwrap().to_string();
+        let (dir, path) = fixture();
+        let pf = dir.file("port.txt");
         let serve_args = parse(&format!(
             "--graph {path} --name demo --duration 0.4 --port-file {pf} \
              --executors 2 --kernel-threads 2"
@@ -236,7 +233,7 @@ mod tests {
         let handle = std::thread::spawn(move || run(&serve_args));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
+            if let Ok(text) = std::fs::read_to_string(&pf) {
                 let text = text.trim().to_string();
                 if !text.is_empty() {
                     break text;
@@ -263,9 +260,8 @@ mod tests {
 
     #[test]
     fn serves_for_a_bounded_duration_and_writes_port_file() {
-        let (path, dir) = fixture("tigr_cli_serve_run_test");
-        let port_file = dir.join("port.txt");
-        let pf = port_file.to_str().unwrap().to_string();
+        let (dir, path) = fixture();
+        let pf = dir.file("port.txt");
         let serve_args = parse(&format!(
             "--graph {path} --name demo --duration 0.4 --port-file {pf} --workers 2"
         ));
@@ -273,7 +269,7 @@ mod tests {
         // Wait for the daemon to publish its ephemeral address.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
+            if let Ok(text) = std::fs::read_to_string(&pf) {
                 let text = text.trim().to_string();
                 if !text.is_empty() {
                     break text;

@@ -53,17 +53,15 @@ mod tests {
 
     #[test]
     fn stats_on_generated_file() {
-        let dir = std::env::temp_dir().join("tigr_cli_stats_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("star.txt");
+        let dir = crate::io_util::TestDir::new();
+        let path = dir.file("star.txt");
         let g = tigr_graph::generators::star_graph(100);
-        crate::io_util::save_graph(&g, path.to_str().unwrap()).unwrap();
+        crate::io_util::save_graph(&g, &path).unwrap();
 
-        let args = Args::parse(&[path.to_str().unwrap().to_string()]).unwrap();
+        let args = Args::parse(&[path]).unwrap();
         let out = run(&args).unwrap();
         assert!(out.contains("nodes          100"));
         assert!(out.contains("max degree     99"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -62,24 +62,23 @@ const USAGE: &str = "usage: tigr transform <udt|star|recursive-star|circular|cli
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io_util::load_graph;
+    use crate::io_util::{load_graph, TestDir};
 
     fn parse(s: &str) -> Args {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
     }
 
-    fn fixture() -> (String, String) {
-        let dir = std::env::temp_dir().join("tigr_cli_transform_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("in.txt").to_str().unwrap().to_string();
-        let output = dir.join("out.bin").to_str().unwrap().to_string();
+    fn fixture() -> (TestDir, String, String) {
+        let dir = TestDir::new();
+        let input = dir.file("in.txt");
+        let output = dir.file("out.bin");
         save_graph(&tigr_graph::generators::star_graph(50), &input).unwrap();
-        (input, output)
+        (dir, input, output)
     }
 
     #[test]
     fn udt_transform_end_to_end() {
-        let (input, output) = fixture();
+        let (_dir, input, output) = fixture();
         let out = run(&parse(&format!("udt -i {input} -o {output} --k 4"))).unwrap();
         assert!(out.contains("udt transform (K=4"));
         let t = load_graph(&output).unwrap();
@@ -89,17 +88,15 @@ mod tests {
 
     #[test]
     fn k_defaults_to_heuristic() {
-        let (input, output) = fixture();
+        let (_dir, input, output) = fixture();
         let out = run(&parse(&format!("udt -i {input} -o {output}"))).unwrap();
         assert!(out.contains("K=100"), "{out}");
     }
 
     #[test]
     fn cached_transform_hits_on_repeat() {
-        let (input, output) = fixture();
-        let cache = std::env::temp_dir().join("tigr_cli_transform_cache_test");
-        std::fs::remove_dir_all(&cache).ok();
-        let cache = cache.to_str().unwrap().to_string();
+        let (dir, input, output) = fixture();
+        let cache = dir.file("cache");
         let cmd = format!("udt -i {input} -o {output} --k 4 --stats --cache-dir {cache}");
         let cold = run(&parse(&cmd)).unwrap();
         assert!(cold.contains("cache           miss"), "{cold}");
@@ -111,14 +108,14 @@ mod tests {
 
     #[test]
     fn bad_topology_rejected() {
-        let (input, output) = fixture();
+        let (_dir, input, output) = fixture();
         let err = run(&parse(&format!("spiral -i {input} -o {output}"))).unwrap_err();
         assert!(err.contains("unknown topology"));
     }
 
     #[test]
     fn bad_dumb_policy_rejected() {
-        let (input, output) = fixture();
+        let (_dir, input, output) = fixture();
         let err = run(&parse(&format!("udt -i {input} -o {output} --dumb heavy"))).unwrap_err();
         assert!(err.contains("unknown dumb-weight"));
     }

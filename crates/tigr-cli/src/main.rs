@@ -111,10 +111,9 @@ mod tests {
 
     #[test]
     fn full_pipeline_generate_transform_run() {
-        let dir = std::env::temp_dir().join("tigr_cli_pipeline_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("raw.bin").to_str().unwrap().to_string();
-        let trans = dir.join("udt.bin").to_str().unwrap().to_string();
+        let dir = io_util::TestDir::new();
+        let raw = dir.file("raw.bin");
+        let trans = dir.file("udt.bin");
 
         dispatch(&toks(&format!(
             "generate rmat --scale 8 --edge-factor 4 --weighted -o {raw}"
@@ -122,7 +121,7 @@ mod tests {
         .unwrap();
         let out = dispatch(&toks(&format!("transform udt -i {raw} -o {trans} --k 8"))).unwrap();
         assert!(out.contains("udt transform"));
-        let cache = dir.join("cache").to_str().unwrap().to_string();
+        let cache = dir.file("cache");
         let out = dispatch(&toks(&format!(
             "prepare --graph {raw} --virtual 10 --coalesced --cache-dir {cache}"
         )))
@@ -138,18 +137,15 @@ mod tests {
         assert!(out.contains("max degree"));
         let out = dispatch(&toks(&format!("analyze {raw} --k 8"))).unwrap();
         assert!(out.contains("virtual"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn convert_between_formats() {
-        let dir = std::env::temp_dir().join("tigr_cli_convert_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.txt").to_str().unwrap().to_string();
-        let b = dir.join("b.bin").to_str().unwrap().to_string();
+        let dir = io_util::TestDir::new();
+        let a = dir.file("a.txt");
+        let b = dir.file("b.bin");
         dispatch(&toks(&format!("generate grid --rows 4 --cols 4 -o {a}"))).unwrap();
         let out = dispatch(&toks(&format!("convert -i {a} -o {b}"))).unwrap();
         assert!(out.contains("16 nodes"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

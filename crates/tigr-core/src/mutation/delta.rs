@@ -286,6 +286,7 @@ impl GraphView for OverlayView<'_> {
         self.base.out_degree(u) - removed + added
     }
 
+    #[inline]
     fn for_each_edge(&self, u: NodeId, f: &mut dyn FnMut(NodeId, Weight)) {
         if u.index() < self.delta.base_nodes {
             for e in self.base.edge_start(u)..self.base.edge_end(u) {

@@ -1,5 +1,5 @@
 //! Batched multi-source execution: K same-program runs fused into one
-//! sequence of sweeps over the CSR.
+//! sequence of sweeps over the graph.
 //!
 //! The serving workload runs the *same* monotone program from many
 //! sources over one shared graph. Executed one query at a time, every
@@ -25,10 +25,15 @@
 //!
 //! Two executors share the lane abstraction:
 //!
-//! * [`run_batch_sequential_push`] — the deterministic reference. Lane
-//!   layout is SoA (one value array per lane): lanes converge at
-//!   different iterations, SoA lets finished lanes drop out without
-//!   holes, and `snapshot` is a straight copy.
+//! * [`run_batch_sequential_push`] — the deterministic reference and the
+//!   one sequential monotone driver, generic over [`GraphView`]. It has
+//!   three callers: the [`crate::Sequential`] backend (K = 1, push and
+//!   auto plans, relaxed or BSP), [`run_monotone_view`] (K = 1 over any
+//!   view), and the server's batches (K ≥ 1 over a prepared CSR, or
+//!   over a dirty snapshot's base+delta overlay view). Lane layout is
+//!   SoA (one value array per lane): lanes converge at different
+//!   iterations, SoA lets finished lanes drop out without holes, and
+//!   `snapshot` is a straight copy.
 //! * [`run_batch_cpu_pool`] — the parallel executor (DESIGN.md §13).
 //!   Values are interleaved **lane-major per node**
 //!   (`values[v * K + lane]`), so one edge walk relaxes every live
@@ -47,12 +52,15 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use tigr_core::{CancelToken, VirtualGraph};
+use tigr_graph::view::GraphView;
 use tigr_graph::{reverse::transpose, Csr, NodeId};
 use tigr_sim::SimReport;
 
 use crate::cpu_parallel::{balanced_cuts, count_bounds, CpuSchedule};
 use crate::frontier::FrontierBuilder;
-use crate::kernel::{csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, NoMirror};
+use crate::kernel::{
+    csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, EdgeRef, NoMirror,
+};
 use crate::plan::{Direction, ExecutionPlan};
 use crate::pool::{with_pool, EpochRunner};
 use crate::program::{InitKind, MonotoneProgram};
@@ -284,11 +292,13 @@ struct LaneRun<'a> {
     next: &'a FrontierBuilder,
     active: &'a mut Vec<u32>,
     cancel: &'a CancelToken,
+    /// The previous iteration's values under BSP double buffering:
+    /// reads see only these, never this iteration's writes.
+    prev: Option<Vec<u32>>,
     /// Position in `active` during the node-major merge.
     cursor: usize,
     iterations: usize,
     edges_touched: u64,
-    changed: bool,
     converged: bool,
     cancelled: bool,
     done: bool,
@@ -296,59 +306,110 @@ struct LaneRun<'a> {
 }
 
 impl LaneRun<'_> {
-    /// One scatter relaxation of `slot` in this lane — the body of the
-    /// solo sequential push sweep, verbatim.
-    fn relax(&mut self, g: &Csr, prog: MonotoneProgram) {
-        let slot = if let Some(&v) = self.active.get(self.cursor) {
-            v as usize
-        } else {
-            return;
-        };
-        self.relax_slot(g, prog, slot);
+    /// [`LaneRun::relax`] over `slot`'s contiguous CSR range. Taking
+    /// `g` as a parameter, not inside the edge iterator, lets the
+    /// compiler keep the CSR's slices in registers across the edge loop.
+    fn relax_csr(&mut self, prog: MonotoneProgram, g: &Csr, slot: usize) {
+        let v = NodeId::from_index(slot);
+        self.relax(prog, slot, csr_edges(g, g.edge_start(v)..g.edge_end(v)));
     }
 
-    fn relax_slot(&mut self, g: &Csr, prog: MonotoneProgram, slot: usize) {
-        let v = NodeId::from_index(slot);
-        let d = self.values.load(slot);
+    /// One scatter relaxation of `slot`'s out-edges in this lane.
+    #[inline(always)]
+    fn relax(&mut self, prog: MonotoneProgram, slot: usize, edges: impl Iterator<Item = EdgeRef>) {
         let next = self.next;
-        let mut changed = false;
-        let touched = push_relax(
-            &mut NoMirror,
-            prog,
-            self.values,
-            None,
-            d,
-            csr_edges(g, g.edge_start(v)..g.edge_end(v)),
-            |_, t| {
-                changed = true;
-                next.activate(t);
-            },
-        );
-        self.edges_touched += touched;
-        if changed {
-            self.changed = true;
+        // One `push_relax` call per visibility discipline, each with its
+        // own closure type and so its own instantiation: the relaxed one
+        // only ever sees `prev = None`, which the compiler folds away
+        // instead of testing it per edge.
+        self.edges_touched += match self.prev.as_deref() {
+            None => push_relax(
+                &mut NoMirror,
+                prog,
+                self.values,
+                None,
+                self.values.load(slot),
+                edges,
+                |_, t| {
+                    next.activate(t);
+                },
+            ),
+            Some(p) => push_relax(
+                &mut NoMirror,
+                prog,
+                self.values,
+                Some(p),
+                p[slot],
+                edges,
+                |_, t| {
+                    next.activate(t);
+                },
+            ),
+        };
+    }
+}
+
+/// Relaxes node `v` in every runnable lane that has it active (every
+/// runnable lane on a full sweep), advancing their merge cursors. A CSR
+/// is walked in place as contiguous slices; any other view streams the
+/// node's out-edges once into `scratch`, which every lane then shares.
+fn relax_node<G: GraphView + ?Sized>(
+    g: &G,
+    prog: MonotoneProgram,
+    v: u32,
+    worklist: bool,
+    lanes: &mut [LaneRun<'_>],
+    scratch: &mut Vec<EdgeRef>,
+) {
+    let node = NodeId::new(v);
+    let csr = g.as_csr();
+    if csr.is_none() {
+        scratch.clear();
+        g.for_each_edge(node, &mut |t, weight| {
+            // Views carry no global edge index; `NoMirror` never reads
+            // it.
+            scratch.push(EdgeRef {
+                index: 0,
+                target: t.index(),
+                weight,
+            });
+        });
+    }
+    for lane in lanes.iter_mut().filter(|l| l.runnable) {
+        if worklist {
+            if lane.active.get(lane.cursor) != Some(&v) {
+                continue;
+            }
+            lane.cursor += 1;
+        }
+        match csr {
+            Some(c) => lane.relax_csr(prog, c, v as usize),
+            None => lane.relax(prog, v as usize, scratch.iter().copied()),
         }
     }
 }
 
-/// Runs `batch` over `rep` with the deterministic single-threaded push
-/// schedule, all lanes in lockstep. Every lane's output is byte-equal
-/// to what the sequential backend's push driver returns for that
-/// source alone under the same `options`.
+/// Runs `batch` over `g` with the deterministic single-threaded push
+/// schedule, all lanes in lockstep — the one sequential monotone
+/// driver. Every lane's output is byte-equal to a solo run: the same
+/// driver at `K = 1`, which is how [`crate::Sequential`] runs push and
+/// auto plans and how [`run_monotone_view`] runs a view. `g` is a plain
+/// [`Csr`] for prepared graphs (physical splits pass their split CSR;
+/// virtual overlays share the fixpoint and are not consulted) or any
+/// other [`GraphView`], such as a base+delta overlay.
 ///
 /// # Panics
 ///
 /// Panics if the program needs a source and a lane has none, or a
 /// lane's source is out of range — the same contract as
 /// [`MonotoneProgram::initial_values`].
-pub fn run_batch_sequential_push(
-    rep: &Representation<'_>,
+pub fn run_batch_sequential_push<G: GraphView + ?Sized>(
+    g: &G,
     batch: &BatchProgram,
     options: &PushOptions,
     arena: &mut BatchArena,
 ) -> BatchOutput {
-    let g = rep.graph();
-    let n = rep.num_value_slots();
+    let n = g.num_nodes();
     let prog = batch.prog;
     let k = batch.lanes.len();
     arena.ensure(k, n);
@@ -375,10 +436,10 @@ pub fn run_batch_sequential_push(
                 next,
                 active,
                 cancel: &lane.cancel,
+                prev: (options.sync == SyncMode::Bsp).then(|| values.snapshot()),
                 cursor: 0,
                 iterations: 0,
                 edges_touched: 0,
-                changed: false,
                 converged: false,
                 cancelled: false,
                 done: false,
@@ -386,10 +447,11 @@ pub fn run_batch_sequential_push(
             }
         })
         .collect();
+    let mut scratch = Vec::new();
 
     let mut sweeps = 0usize;
     loop {
-        // Per-lane pre-iteration checks, in the solo driver's order:
+        // Per-lane pre-iteration checks, in the solo schedule's order:
         // iteration cap, worklist emptiness (convergence), then the
         // cancellation poll.
         let mut any = false;
@@ -413,7 +475,6 @@ pub fn run_batch_sequential_push(
                 continue;
             }
             lane.iterations += 1;
-            lane.changed = false;
             lane.cursor = 0;
             lane.runnable = true;
             any = true;
@@ -425,39 +486,33 @@ pub fn run_batch_sequential_push(
 
         if options.worklist {
             // Node-major k-way merge of the per-lane sorted worklists:
-            // each node's adjacency range is walked back-to-back for
-            // every lane in which it is active, and each lane still
-            // sees its nodes in ascending order.
-            loop {
-                let mut cur: Option<u32> = None;
-                for lane in lanes.iter().filter(|l| l.runnable) {
-                    if let Some(&v) = lane.active.get(lane.cursor) {
-                        cur = Some(cur.map_or(v, |c| c.min(v)));
-                    }
-                }
-                let Some(v) = cur else { break };
-                for lane in lanes.iter_mut().filter(|l| l.runnable) {
-                    if lane.active.get(lane.cursor) == Some(&v) {
-                        lane.relax(g, prog);
-                        lane.cursor += 1;
-                    }
-                }
+            // each node's adjacency is walked back-to-back for every
+            // lane in which it is active, and each lane still sees its
+            // nodes in ascending order.
+            while let Some(v) = lanes
+                .iter()
+                .filter(|l| l.runnable)
+                .filter_map(|l| l.active.get(l.cursor).copied())
+                .min()
+            {
+                relax_node(g, prog, v, true, &mut lanes, &mut scratch);
             }
         } else {
-            // Full sweeps: every slot, every runnable lane.
-            for slot in 0..n {
-                for lane in lanes.iter_mut().filter(|l| l.runnable) {
-                    lane.relax_slot(g, prog, slot);
-                }
+            // Full sweeps: every node, every runnable lane.
+            for v in 0..n as u32 {
+                relax_node(g, prog, v, false, &mut lanes, &mut scratch);
             }
         }
 
+        // A lane improved something this sweep exactly when it
+        // activated a node, so an empty next worklist is convergence.
         for lane in lanes.iter_mut().filter(|l| l.runnable) {
-            lane.active.clear();
             lane.next.drain_into(lane.active);
-            if !lane.changed {
+            if lane.active.is_empty() {
                 lane.converged = true;
                 lane.done = true;
+            } else if let Some(prev) = &mut lane.prev {
+                *prev = lane.values.snapshot();
             }
         }
     }
@@ -476,6 +531,49 @@ pub fn run_batch_sequential_push(
     BatchOutput {
         lanes: outputs,
         sweeps,
+    }
+}
+
+/// Result of a [`run_monotone_view`] fixpoint.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ViewOutput {
+    /// Final per-node values, indexed by node id (length
+    /// `view.num_nodes()`).
+    pub values: Vec<u32>,
+    /// Iterations until quiescence.
+    pub iterations: u64,
+    /// Edge relaxations attempted.
+    pub edges_relaxed: u64,
+}
+
+/// Runs a monotone push program to fixpoint over `view` — a one-lane
+/// [`run_batch_sequential_push`] under the default options but with no
+/// iteration cap. Values match the prepared-path engines byte-for-byte
+/// on the same logical graph: the fixpoint is order-independent, so
+/// streaming a node's base edges before its delta edges computes
+/// exactly what a from-scratch CSR of the merged edge list would.
+///
+/// # Panics
+///
+/// Panics if `prog` needs a source and none is given, or the source is
+/// out of range — same contract as
+/// [`MonotoneProgram::initial_values`].
+pub fn run_monotone_view(
+    view: &dyn GraphView,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+) -> ViewOutput {
+    let batch = BatchProgram::from_sources(prog, [source]);
+    let options = PushOptions {
+        max_iterations: usize::MAX,
+        ..PushOptions::default()
+    };
+    let mut out = run_batch_sequential_push(view, &batch, &options, &mut BatchArena::new());
+    let lane = out.lanes.pop().expect("one lane in, one lane out");
+    ViewOutput {
+        values: lane.values,
+        iterations: lane.directions.len() as u64,
+        edges_relaxed: lane.edges_touched,
     }
 }
 
@@ -759,7 +857,7 @@ pub fn run_batch_cpu_pool(
     if k == 0 || n == 0 {
         // Degenerate shapes carry no parallel work; the sequential
         // executor's byte-exact handling is the better answer.
-        return run_batch_sequential_push(rep, batch, &plan.push, arena);
+        return run_batch_sequential_push(g, batch, &plan.push, arena);
     }
     let threads = plan.cpu.threads.max(1);
     let worklist = plan.push.worklist;
@@ -1117,7 +1215,7 @@ mod tests {
             let batch =
                 BatchProgram::from_sources(prog, sources.iter().map(|&s| Some(NodeId::new(s))));
             let mut arena = BatchArena::new();
-            let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+            let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
             assert_eq!(out.lanes.len(), sources.len());
             for (i, &s) in sources.iter().enumerate() {
                 let reference = solo(&rep, prog, Some(s));
@@ -1140,7 +1238,7 @@ mod tests {
         let rep = Representation::Original(&g);
         let batch = BatchProgram::from_sources(MonotoneProgram::CC, [None, None]);
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
         let reference = solo(&rep, MonotoneProgram::CC, None);
         assert_lane_equal(&out.lanes[0], &reference, "cc lane 0");
         assert_lane_equal(&out.lanes[1], &reference, "cc lane 1");
@@ -1156,7 +1254,7 @@ mod tests {
         // between runs.
         for &s in &[5u32, 42, 5, 299] {
             let batch = BatchProgram::from_sources(MonotoneProgram::SSSP, [Some(NodeId::new(s))]);
-            let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+            let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
             let reference = solo(&rep, MonotoneProgram::SSSP, Some(s));
             assert_lane_equal(&out.lanes[0], &reference, &format!("sssp/{s}"));
         }
@@ -1229,8 +1327,8 @@ mod tests {
 
         // Uncapped: the wide burst's 12 lanes stay resident forever.
         let mut unbounded = BatchArena::new();
-        run_batch_sequential_push(&rep, &wide(), &PushOptions::default(), &mut unbounded);
-        run_batch_sequential_push(&rep, &narrow(), &PushOptions::default(), &mut unbounded);
+        run_batch_sequential_push(&g, &wide(), &PushOptions::default(), &mut unbounded);
+        run_batch_sequential_push(&g, &narrow(), &PushOptions::default(), &mut unbounded);
         assert_eq!(unbounded.retained_lanes(), 12);
 
         // Capped: alternating wide/narrow batches settle at the cap
@@ -1239,8 +1337,8 @@ mod tests {
         let mut arena = BatchArena::with_retain_cap(cap);
         assert_eq!(arena.retain_cap(), cap);
         for round in 0..3 {
-            run_batch_sequential_push(&rep, &wide(), &PushOptions::default(), &mut arena);
-            run_batch_sequential_push(&rep, &narrow(), &PushOptions::default(), &mut arena);
+            run_batch_sequential_push(&g, &wide(), &PushOptions::default(), &mut arena);
+            run_batch_sequential_push(&g, &narrow(), &PushOptions::default(), &mut arena);
             assert_eq!(arena.retained_lanes(), cap, "round {round}");
             assert!(
                 arena.retained_values() <= cap * n,
@@ -1290,7 +1388,7 @@ mod tests {
             [Some(NodeId::new(0)), Some(NodeId::new(100))],
         );
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &options, &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &options, &mut arena);
         for (lane, src) in out.lanes.iter().zip([0u32, 100]) {
             let reference = Sequential
                 .run_monotone(&rep, MonotoneProgram::SSSP, Some(NodeId::new(src)), &plan)
@@ -1314,7 +1412,7 @@ mod tests {
             ],
         };
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
         assert!(out.lanes[0].cancelled && !out.lanes[0].converged);
         // Pre-cancelled lane holds exactly its initial values.
         assert_eq!(out.lanes[0].values[0], 0);
@@ -1341,7 +1439,7 @@ mod tests {
             [Some(NodeId::new(0)), Some(NodeId::new(9))],
         );
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &options, &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &options, &mut arena);
         for (lane, src) in out.lanes.iter().zip([0u32, 9]) {
             let reference = Sequential
                 .run_monotone(&rep, MonotoneProgram::SSSP, Some(NodeId::new(src)), &plan)
@@ -1353,11 +1451,58 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let g = fixture();
-        let rep = Representation::Original(&g);
         let batch = BatchProgram::from_sources(MonotoneProgram::BFS, []);
         let mut arena = BatchArena::new();
-        let out = run_batch_sequential_push(&rep, &batch, &PushOptions::default(), &mut arena);
+        let out = run_batch_sequential_push(&g, &batch, &PushOptions::default(), &mut arena);
         assert!(out.lanes.is_empty());
         assert_eq!(out.sweeps, 0);
+    }
+
+    #[test]
+    fn view_fixpoints_match_the_push_engine() {
+        use crate::push::run_monotone;
+        use tigr_graph::generators::{rmat, RmatConfig};
+        use tigr_sim::{GpuConfig, GpuSimulator};
+
+        let unit = rmat(&RmatConfig::graph500(8, 6), 97);
+        let weighted = with_uniform_weights(&unit, 1, 32, 3);
+        let sim = GpuSimulator::new(GpuConfig::default());
+        let opts = PushOptions::default();
+        let src = Some(NodeId::new(5));
+
+        for (g, prog, source) in [
+            (&unit, MonotoneProgram::BFS, src),
+            (&unit, MonotoneProgram::CC, None),
+            (&unit, MonotoneProgram::KHOP, src),
+            (&weighted, MonotoneProgram::SSSP, src),
+            (&weighted, MonotoneProgram::SSWP, src),
+        ] {
+            let expect = run_monotone(&sim, &Representation::Original(g), prog, source, &opts);
+            let got = run_monotone_view(g, prog, source);
+            assert_eq!(got.values, expect.values, "{}", prog.name);
+            assert!(got.iterations > 0);
+        }
+    }
+
+    #[test]
+    fn unreachable_nodes_keep_the_identity() {
+        // 3 → (nothing); 0 → 1 → 2, node 3 unreachable from 0.
+        let g = tigr_graph::CsrBuilder::new(4).edge(0, 1).edge(1, 2).build();
+        let out = run_monotone_view(&g, MonotoneProgram::BFS, Some(NodeId::new(0)));
+        assert_eq!(out.values, vec![0, 1, 2, u32::MAX]);
+    }
+
+    #[test]
+    fn view_runs_past_the_default_iteration_cap() {
+        // BFS down a path needs one iteration per hop, plus the one
+        // that finds the worklist empty.
+        let n = PushOptions::default().max_iterations + 2;
+        let mut b = tigr_graph::CsrBuilder::new(n);
+        for u in 1..n as u32 {
+            b.edge(u - 1, u);
+        }
+        let out = run_monotone_view(&b.build(), MonotoneProgram::BFS, Some(NodeId::new(0)));
+        assert_eq!(out.values[n - 1], (n - 1) as u32);
+        assert_eq!(out.iterations, n as u64);
     }
 }

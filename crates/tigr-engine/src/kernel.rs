@@ -2,13 +2,15 @@
 //!
 //! Every driver in this crate — simulated push ([`crate::push`]),
 //! simulated pull ([`crate::pull`]), the wall-clock CPU engine
-//! ([`crate::cpu_parallel`]), PageRank and betweenness centrality
+//! ([`crate::cpu_parallel`]), the sequential lane driver
+//! ([`crate::batch`]), PageRank and betweenness centrality
 //! ([`crate::algorithms`]) — routes its per-edge work through
 //! [`relax_kernel`]. The loop is parameterized along two axes:
 //!
 //! * an **edge source**: any `Iterator<Item = EdgeRef>` — a contiguous
-//!   CSR range, a strided virtual-node cursor, or a slice zip on the CPU
-//!   fast path (see [`csr_edges`] and friends);
+//!   CSR range, a strided virtual-node cursor, a slice zip on the CPU
+//!   fast path (see [`csr_edges`] and friends), or one node's edges of
+//!   a non-CSR graph view, collected once per sweep;
 //! * an **access mirror**: how each architectural memory access is
 //!   accounted. [`LaneMirror`] charges a simulator [`Lane`]; [`NoMirror`]
 //!   compiles every charge away for the wall-clock CPU backends, so both

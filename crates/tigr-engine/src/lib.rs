@@ -55,7 +55,6 @@ mod push;
 mod representation;
 mod runner;
 mod state;
-pub mod view_exec;
 
 pub use algorithms::bc::{self, BcOutput};
 pub use algorithms::dobfs::{self, DoBfsOptions, DoBfsOutput};
@@ -63,7 +62,8 @@ pub use algorithms::pr::{self, PrMode, PrOptions, PrOutput};
 pub use algorithms::{bfs, cc, sssp, sswp, Analytic};
 pub use backend::{Backend, CpuPool, Sequential, WarpSim};
 pub use batch::{
-    run_batch_cpu_pool, run_batch_sequential_push, BatchArena, BatchLane, BatchOutput, BatchProgram,
+    run_batch_cpu_pool, run_batch_sequential_push, run_monotone_view, BatchArena, BatchLane,
+    BatchOutput, BatchProgram, ViewOutput,
 };
 pub use cpu_parallel::{
     default_threads, run_cpu, run_cpu_pr, run_cpu_pr_cancellable, run_cpu_virtual,
@@ -86,4 +86,3 @@ pub use push::{run_monotone, run_monotone_cancellable, MonotoneOutput, PushOptio
 pub use representation::Representation;
 pub use runner::{Engine, EngineError};
 pub use state::{AtomicFloats, AtomicValues, Combine};
-pub use view_exec::{run_monotone_view, ViewOutput};

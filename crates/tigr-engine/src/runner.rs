@@ -505,7 +505,10 @@ impl Engine {
             )),
             _ if plan.direction == Direction::Pull => run_lanes_solo(rep, batch, &plan),
             _ => Ok(crate::batch::run_batch_sequential_push(
-                rep, batch, &plan.push, arena,
+                rep.graph(),
+                batch,
+                &plan.push,
+                arena,
             )),
         }
     }

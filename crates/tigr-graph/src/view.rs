@@ -1,12 +1,11 @@
 //! A read-only adjacency abstraction over "some graph shape".
 //!
-//! The engine's prepared paths iterate a concrete [`Csr`] (or a virtual
-//! overlay of one) directly — that stays untouched. [`GraphView`] exists
-//! for the *mutation* layer: a delta overlay patches an immutable base
-//! CSR with added/removed edges, and kernels that only need "for each
-//! out-edge of `u`" can run over base+delta without the overlay copying
-//! the base. The trait is deliberately minimal and object-safe so a view
-//! can be handed across crate boundaries as `&dyn GraphView`.
+//! The engine's sequential monotone driver is generic over
+//! [`GraphView`]: a plain [`Csr`] and the mutation layer's delta overlay
+//! (an immutable base CSR patched with added/removed edges, never
+//! copied) run through the same code, monomorphized per view. The trait
+//! is deliberately minimal and object-safe so a view can also be handed
+//! across crate boundaries as `&dyn GraphView`.
 
 use crate::csr::Csr;
 use crate::edge::{NodeId, Weight};
@@ -32,6 +31,13 @@ pub trait GraphView {
     /// Calls `f(dst, weight)` for every out-edge of `u`, in the view's
     /// canonical order.
     fn for_each_edge(&self, u: NodeId, f: &mut dyn FnMut(NodeId, Weight));
+
+    /// The CSR itself when this view is one: kernels monomorphized over
+    /// a concrete view walk its contiguous edge slices instead of
+    /// calling back per edge.
+    fn as_csr(&self) -> Option<&Csr> {
+        None
+    }
 }
 
 impl GraphView for Csr {
@@ -66,6 +72,11 @@ impl GraphView for Csr {
             }
         }
     }
+
+    #[inline]
+    fn as_csr(&self) -> Option<&Csr> {
+        Some(self)
+    }
 }
 
 /// Collects a view's full edge list as `(src, dst, weight)` triples in
@@ -99,6 +110,7 @@ mod tests {
         assert_eq!(v.num_edges(), 4);
         assert!(v.is_weighted());
         assert_eq!(v.out_degree(NodeId::new(0)), 2);
+        assert!(std::ptr::eq(v.as_csr().unwrap(), &g));
         assert_eq!(
             collect_edges(v),
             vec![(0, 1, 4), (0, 2, 7), (1, 2, 1), (3, 0, 9)]

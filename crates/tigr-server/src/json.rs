@@ -185,6 +185,13 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting a document may have. The parser
+/// recurses once per level, so this bounds its stack: a request line of
+/// a few hundred thousand `[` would otherwise overflow the connection
+/// thread's stack and abort the daemon. Protocol messages nest only a
+/// few levels.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// A parse failure with a byte offset into the input.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -208,6 +215,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -221,6 +229,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -261,8 +271,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -270,6 +280,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object with `body`, one level deeper.
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -496,6 +520,15 @@ mod tests {
     fn whitespace_and_nesting() {
         let v = parse(" { \"a\" : [ 1 , { \"b\" : null } ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //!    is a typed `queue-full` rejection, never a block — that is the
 //!    backpressure contract.
 //! 2. *Plan*: a batch executor pops one job and drains compatible
-//!    queued jobs (same graph × same algorithm, up to `batch_max`)
-//!    into one fused batch; every monotone query — batched or
-//!    singleton — carries its own cancel token into a lane. With
-//!    `kernel_threads = 1` the batch executes the deterministic
+//!    queued jobs (same graph × same algorithm × same pinned epoch, up
+//!    to `batch_max`) into one fused batch; every monotone query —
+//!    batched or singleton — carries its own cancel token into a lane.
+//!    With `kernel_threads = 1` the batch executes the deterministic
 //!    `Sequential` push schedule; with more, it runs on the parallel
 //!    `CpuPool` backend with per-iteration push/pull direction
-//!    selection (values identical, iteration counts may differ).
+//!    selection (values identical, iteration counts may differ). A
+//!    batch pinned to a dirty snapshot — a mutable graph with applied,
+//!    uncompacted mutations — always takes the sequential schedule, over
+//!    the snapshot's base+delta overlay view.
 //! 3. *Backend*: the engine advances all lanes of the batch in
-//!    lockstep over the shared [`PreparedGraph`] (see
+//!    lockstep over the shared [`PreparedGraph`] or overlay view (see
 //!    [`tigr_engine::batch`]); tokens are polled at iteration
 //!    boundaries, so an expired deadline surfaces as a consistent
 //!    monotone prefix that the server then *discards* — that client
@@ -31,7 +34,7 @@
 //! answered in order.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,8 +48,8 @@ use tigr_core::{
     CancelToken, GraphSnapshot, MutableGraph, MutationError, MutationOp, PreparedGraph,
 };
 use tigr_engine::{
-    operators, run_monotone_view, BackendKind, BatchArena, BatchLane, BatchProgram, CpuOptions,
-    Direction, Engine, EngineError, MonotoneProgram, Pipeline,
+    operators, run_batch_sequential_push, BackendKind, BatchArena, BatchLane, BatchProgram,
+    CpuOptions, Direction, Engine, EngineError, Pipeline,
 };
 use tigr_graph::NodeId;
 
@@ -169,13 +172,6 @@ impl Job {
     fn epoch(&self) -> u64 {
         self.pinned.as_ref().map_or(0, |s| s.epoch())
     }
-
-    /// Whether this job pinned a snapshot with live delta edges, which
-    /// excludes it from the fused-batch path (the base CSR alone is the
-    /// wrong graph).
-    fn is_dirty(&self) -> bool {
-        self.pinned.as_ref().is_some_and(|s| !s.is_clean())
-    }
 }
 
 /// A one-shot rendezvous between the submitting thread and the worker.
@@ -224,7 +220,17 @@ pub struct ServerCore {
 impl ServerCore {
     /// Creates the core and spawns its worker pool.
     pub fn new(config: ServerConfig) -> Arc<Self> {
-        let core = Arc::new(ServerCore {
+        let core = ServerCore::without_workers(config);
+        for _ in 0..config.executor_count() {
+            core.spawn_worker();
+        }
+        core
+    }
+
+    /// The core with an empty worker pool: submitted jobs queue until
+    /// [`ServerCore::spawn_worker`] adds an executor.
+    fn without_workers(config: ServerConfig) -> Arc<Self> {
+        Arc::new(ServerCore {
             config,
             graphs: Mutex::new(HashMap::new()),
             queue: Bounded::new(config.queue_capacity),
@@ -232,19 +238,20 @@ impl ServerCore {
             stats: StatsRecorder::default(),
             workers: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
-        });
-        let mut workers = core.workers.lock().unwrap();
-        for i in 0..config.executor_count() {
-            let core = Arc::clone(&core);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("tigr-serve-{i}"))
-                    .spawn(move || core.worker_loop())
-                    .expect("spawn worker"),
-            );
-        }
-        drop(workers);
-        core
+        })
+    }
+
+    /// Adds one executor thread to the worker pool.
+    fn spawn_worker(self: &Arc<Self>) {
+        let mut workers = self.workers.lock().unwrap();
+        let core = Arc::clone(self);
+        let name = format!("tigr-serve-{}", workers.len());
+        workers.push(
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || core.worker_loop())
+                .expect("spawn worker"),
+        );
     }
 
     /// The configuration the core was built with.
@@ -537,11 +544,12 @@ impl ServerCore {
         let wait = Duration::from_micros(self.config.batch_wait_us);
         // The whole batch forms inside one queue operation: the head
         // job plus every queued job compatible with it (same graph
-        // name × same algorithm), lingering up to `batch_wait_us` for
-        // stragglers. Atomicity matters — popping the head and
-        // draining followers as two separate steps lets concurrent
-        // workers shred a burst of compatible queries into singleton
-        // batches. Incompatible jobs stay queued for other workers.
+        // name × same algorithm × same pinned epoch), lingering up to
+        // `batch_wait_us` for stragglers. Atomicity matters — popping
+        // the head and draining followers as two separate steps lets
+        // concurrent workers shred a burst of compatible queries into
+        // singleton batches. Incompatible jobs stay queued for other
+        // workers.
         while let Some((batch, formed_in)) =
             self.queue.pop_batch(self.config.batch_max, wait, |a, b| {
                 a.request.algo.batchable()
@@ -552,30 +560,85 @@ impl ServerCore {
         {
             self.stats
                 .record_formation_wait(formed_in.as_micros() as u64);
-            if !batch[0].request.algo.batchable() || batch[0].is_dirty() {
-                // Non-monotone or post-processed analytics (PR, BC,
-                // paths, lp, tc) cannot share a fused sweep; they keep
-                // the solo executor. The compat check above never fuses
-                // anything with them. (khop batches: its fixpoint is
-                // k-independent, so mixed-k jobs fuse and mask per job.)
-                // Jobs pinned to a dirty snapshot also go solo: their
-                // graph is base + delta, which the fused engine (keyed
-                // to the base CSR alone) cannot see. They fuse with
-                // each other at the queue level (same epoch), but
-                // execute one by one through the overlay view.
-                for job in batch {
-                    let slot = Arc::clone(&job.slot);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(job)));
-                    let response = outcome.unwrap_or_else(|_| {
-                        self.stats.record_failed();
-                        Response::error(ErrorCode::Internal, "query execution panicked")
-                    });
-                    slot.set(response);
-                }
+            if batch[0].request.algo.batchable() {
+                self.execute_batch(batch, &mut arena);
                 continue;
             }
-            self.execute_batch(batch, &mut arena);
+            // Non-monotone or post-processed analytics (PR, BC, paths,
+            // lp, tc) cannot share a fused sweep; they keep the solo
+            // executor. The compat check above never fuses anything
+            // with them.
+            for job in batch {
+                let Some(job) = self.admit(job) else {
+                    continue;
+                };
+                let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&job)));
+                let response = outcome.unwrap_or_else(|_| {
+                    self.stats.record_failed();
+                    Response::error(ErrorCode::Internal, "query execution panicked")
+                });
+                job.slot.set(response);
+            }
         }
+    }
+
+    /// Admission at execution time: a job whose deadline expired while
+    /// it queued, or whose answer is cached, is answered here and
+    /// consumed; any other job is handed back to run.
+    fn admit(&self, job: Job) -> Option<Job> {
+        if job.token.is_cancelled() {
+            self.stats.record_failed();
+            job.slot.set(Response::error(
+                ErrorCode::DeadlineExceeded,
+                "deadline expired while queued",
+            ));
+            return None;
+        }
+        if job.request.cache {
+            if let Some(hit) = self.cache.get(&self.cache_key(&job)) {
+                job.slot.set(self.reply(&job, &hit, true));
+                return None;
+            }
+        }
+        Some(job)
+    }
+
+    fn cache_key(&self, job: &Job) -> CacheKey {
+        CacheKey {
+            graph: job.request.graph.clone(),
+            algo: job.request.algo,
+            source: job.request.source,
+            limit: job.request.limit,
+            plan: self.config.plan_fingerprint(),
+            epoch: job.epoch(),
+        }
+    }
+
+    /// Records a completed query and builds its reply.
+    fn reply(&self, job: &Job, result: &CachedResult, cached: bool) -> Response {
+        let query = &job.request;
+        let wall_us = job.received.elapsed().as_micros() as u64;
+        self.stats.record_completed(query.algo, wall_us);
+        Response::Query(QueryResult {
+            algo: query.algo,
+            graph: query.graph.clone(),
+            source: query.source,
+            nodes: result.values.len() as u64,
+            iterations: result.iterations,
+            checksum: result.checksum,
+            cached,
+            wall_us,
+            values: query.include_values.then(|| result.values.as_ref().clone()),
+        })
+    }
+
+    /// Publishes a freshly computed answer: caches it when the job
+    /// allows, then replies.
+    fn finish(&self, job: &Job, result: CachedResult) -> Response {
+        if job.request.cache {
+            self.cache.insert(self.cache_key(job), result.clone());
+        }
+        self.reply(job, &result, false)
     }
 
     /// Executes one compatible batch of monotone queries as a single
@@ -583,63 +646,24 @@ impl ServerCore {
     /// waiting clients. Answers are byte-equal to the solo path: same
     /// values, iteration counts, and checksums.
     ///
-    /// Per-job admission checks (expired-while-queued, cache hits) run
-    /// before lanes form. Deadline-free jobs with identical sources
-    /// coalesce onto one shared lane; a job carrying a deadline gets a
-    /// private lane so its cancellation fails only its own reply.
+    /// Per-job admission ([`ServerCore::admit`]) runs before lanes
+    /// form. Deadline-free jobs with identical sources coalesce onto one
+    /// shared lane; a job carrying a deadline gets a private lane so its
+    /// cancellation fails only its own reply.
     fn execute_batch(&self, jobs: Vec<Job>, arena: &mut BatchArena) {
-        let algo = jobs[0].request.algo;
-        let graph_name = jobs[0].request.graph.clone();
-        let mut pending: Vec<Job> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            if job.token.is_cancelled() {
-                self.stats.record_failed();
-                job.slot.set(Response::error(
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued",
-                ));
-                continue;
-            }
-            if job.request.cache {
-                let key = CacheKey {
-                    graph: graph_name.clone(),
-                    algo,
-                    source: job.request.source,
-                    limit: job.request.limit,
-                    plan: self.config.plan_fingerprint(),
-                    epoch: job.epoch(),
-                };
-                if let Some(hit) = self.cache.get(&key) {
-                    let wall_us = job.received.elapsed().as_micros() as u64;
-                    self.stats.record_completed(algo, wall_us);
-                    job.slot.set(Response::Query(QueryResult {
-                        algo,
-                        graph: graph_name.clone(),
-                        source: job.request.source,
-                        nodes: hit.values.len() as u64,
-                        iterations: hit.iterations,
-                        checksum: hit.checksum,
-                        cached: true,
-                        wall_us,
-                        values: job
-                            .request
-                            .include_values
-                            .then(|| hit.values.as_ref().clone()),
-                    }));
-                    continue;
-                }
-            }
-            pending.push(job);
-        }
-        if pending.is_empty() {
+        let pending: Vec<Job> = jobs.into_iter().filter_map(|job| self.admit(job)).collect();
+        let Some(head) = pending.first() else {
             return;
-        }
-        // Jobs pinned to a (clean) snapshot run over its base — the
-        // pin, not the registry, is authoritative, so a compaction
-        // swapping the registry entry mid-flight changes nothing here.
-        let pinned_base = pending[0].pinned.as_ref().map(|s| Arc::clone(s.base()));
-        let prepared = match pinned_base {
-            Some(base) => base,
+        };
+        let algo = head.request.algo;
+        let graph_name = head.request.graph.clone();
+        // Jobs pinned to a snapshot run over it — the pin, not the
+        // registry, is authoritative, so a compaction swapping the
+        // registry entry mid-flight changes nothing here. Batchmates
+        // share the epoch, hence the snapshot.
+        let snapshot = head.pinned.clone();
+        let prepared = match &snapshot {
+            Some(snapshot) => Arc::clone(snapshot.base()),
             None => match self.graphs.lock().unwrap().get(&graph_name) {
                 Some(GraphEntry::Static(p)) => Arc::clone(p),
                 Some(GraphEntry::Mutable(m)) => Arc::clone(m.snapshot().base()),
@@ -655,17 +679,13 @@ impl ServerCore {
                 }
             },
         };
-        let prog = match algo {
-            Algo::Bfs => tigr_engine::MonotoneProgram::BFS,
-            Algo::Sssp => tigr_engine::MonotoneProgram::SSSP,
-            Algo::Sswp => tigr_engine::MonotoneProgram::SSWP,
-            Algo::Cc => tigr_engine::MonotoneProgram::CC,
-            // The k-hop fixpoint is k-independent (true hop counts);
-            // each job masks its own k after projection, so mixed-k
-            // jobs share lanes like any other monotone batch.
-            Algo::Khop => tigr_engine::MonotoneProgram::KHOP,
-            other => unreachable!("{other:?} never enters the batch path"),
-        };
+        // The k-hop fixpoint is k-independent (true hop counts); each
+        // job masks its own k after projection, so mixed-k jobs share
+        // lanes like any other monotone batch.
+        let prog = Pipeline::for_algo(algo, head.request.limit)
+            .ok()
+            .and_then(|p| p.monotone_program())
+            .expect("batchable verbs are monotone pipelines");
         let mut lanes: Vec<BatchLane> = Vec::new();
         let mut lane_jobs: Vec<Vec<Job>> = Vec::new();
         let mut shared: HashMap<Option<u32>, usize> = HashMap::new();
@@ -704,7 +724,20 @@ impl ServerCore {
                 .with_device_memory(u64::MAX)
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            engine.run_prepared_batch(&prepared, &batch, arena)
+            match snapshot.as_deref().and_then(GraphSnapshot::view) {
+                // A dirty snapshot is base + delta: its lanes run over
+                // the overlay view on the sequential driver whatever
+                // `kernel_threads` says, because the CpuPool executor
+                // reads the base CSR, its overlay and its transpose,
+                // none of which see the delta.
+                Some(view) => Ok(run_batch_sequential_push(
+                    &view,
+                    &batch,
+                    engine.options(),
+                    arena,
+                )),
+                None => engine.run_prepared_batch(&prepared, &batch, arena),
+            }
         }));
         let out = match outcome {
             Ok(Ok(out)) => out,
@@ -737,10 +770,7 @@ impl ServerCore {
                 // batchmates are unaffected.
                 for job in jobs {
                     self.stats.record_failed();
-                    job.slot.set(Response::error(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired during execution; partial state discarded",
-                    ));
+                    job.slot.set(deadline_exceeded());
                 }
                 continue;
             }
@@ -774,92 +804,32 @@ impl ServerCore {
                 } else {
                     (Arc::clone(&base), base_sum)
                 };
-                if job.request.cache {
-                    self.cache.insert(
-                        CacheKey {
-                            graph: graph_name.clone(),
-                            algo,
-                            source: job.request.source,
-                            limit: job.request.limit,
-                            plan: self.config.plan_fingerprint(),
-                            epoch: job.epoch(),
-                        },
-                        CachedResult {
-                            values: Arc::clone(&values),
-                            iterations,
-                            checksum: sum,
-                        },
-                    );
-                }
-                let wall_us = job.received.elapsed().as_micros() as u64;
-                self.stats.record_completed(algo, wall_us);
-                job.slot.set(Response::Query(QueryResult {
-                    algo,
-                    graph: graph_name.clone(),
-                    source: job.request.source,
-                    nodes: values.len() as u64,
+                let result = CachedResult {
+                    values,
                     iterations,
                     checksum: sum,
-                    cached: false,
-                    wall_us,
-                    values: job.request.include_values.then(|| values.as_ref().clone()),
-                }));
+                };
+                job.slot.set(self.finish(&job, result));
             }
         }
     }
 
-    fn execute(&self, job: Job) -> Response {
+    /// Runs one non-batchable analytic: over a pinned snapshot's graph
+    /// (base + delta materialized lazily and cached on the snapshot;
+    /// the base itself when clean), or over the registry's graph.
+    fn execute(&self, job: &Job) -> Response {
         let query = &job.request;
-        if job.token.is_cancelled() {
-            self.stats.record_failed();
-            return Response::error(ErrorCode::DeadlineExceeded, "deadline expired while queued");
-        }
-        let key = CacheKey {
-            graph: query.graph.clone(),
-            algo: query.algo,
-            source: query.source,
-            limit: query.limit,
-            plan: self.config.plan_fingerprint(),
-            epoch: job.epoch(),
-        };
-        if query.cache {
-            if let Some(hit) = self.cache.get(&key) {
-                let wall_us = job.received.elapsed().as_micros() as u64;
-                self.stats.record_completed(query.algo, wall_us);
-                return Response::Query(QueryResult {
-                    algo: query.algo,
-                    graph: query.graph.clone(),
-                    source: query.source,
-                    nodes: hit.values.len() as u64,
-                    iterations: hit.iterations,
-                    checksum: hit.checksum,
-                    cached: true,
-                    wall_us,
-                    values: query.include_values.then(|| hit.values.as_ref().clone()),
-                });
-            }
-        }
-        // A dirty pinned snapshot is base + delta: monotone verbs
-        // stream the overlay view directly (zero-copy); everything else
-        // lazily materializes the merged graph, cached on the snapshot.
-        if let Some(snapshot) = job.pinned.as_ref().filter(|s| !s.is_clean()) {
-            if let Some(prog) = monotone_program(query.algo) {
-                return self.execute_view(&job, snapshot, prog, key);
-            }
-            let merged = match snapshot.merged() {
+        let prepared = match &job.pinned {
+            Some(snapshot) => match snapshot.merged() {
                 Ok(m) => m,
                 Err(e) => {
                     self.stats.record_failed();
                     return mutation_error(e);
                 }
-            };
-            return self.execute_prepared(&job, &merged, key);
-        }
-        // Clean snapshots run over their pinned base; static graphs
-        // re-resolve from the registry (the graph may have been
-        // replaced since admission, but a fresh Arc is still valid).
-        let prepared = match job.pinned.as_ref() {
-            Some(snapshot) => Arc::clone(snapshot.base()),
+            },
+            // Static graphs re-resolve from the registry (the graph may
+            // have been replaced since admission, but a fresh Arc is
+            // still valid).
             None => match self.graphs.lock().unwrap().get(&query.graph) {
                 Some(GraphEntry::Static(p)) => Arc::clone(p),
                 Some(GraphEntry::Mutable(m)) => Arc::clone(m.snapshot().base()),
@@ -872,101 +842,20 @@ impl ServerCore {
                 }
             },
         };
-        self.execute_prepared(&job, &prepared, key)
-    }
-
-    /// Runs a monotone query over a dirty snapshot's overlay view and
-    /// publishes the result. Values are byte-equal to preparing the
-    /// merged edge list from scratch — the fixpoint is order-
-    /// independent, so streaming base edges before delta edges changes
-    /// nothing (see `tigr_engine::view_exec`).
-    fn execute_view(
-        &self,
-        job: &Job,
-        snapshot: &GraphSnapshot,
-        prog: MonotoneProgram,
-        key: CacheKey,
-    ) -> Response {
-        let query = &job.request;
-        let view = snapshot.view().expect("dirty snapshot has a view");
-        let out = run_monotone_view(&view, prog, query.source.map(NodeId::new));
-        // The view driver doesn't poll the token mid-run; an expired
-        // deadline is honored after the fact (same contract as BC) and
-        // the complete-but-late answer is discarded, never cached.
-        if job.token.is_cancelled() {
-            self.stats.record_failed();
-            return Response::error(
-                ErrorCode::DeadlineExceeded,
-                "deadline expired during execution; partial state discarded",
-            );
-        }
-        let mut values = out.values;
-        if query.algo == Algo::Khop {
-            let k = query.limit.expect("khop admission requires a limit");
-            operators::mask_above(&mut values, k);
-        }
-        let sum = checksum(&values);
-        let values = Arc::new(values);
-        if query.cache {
-            self.cache.insert(
-                key,
-                CachedResult {
-                    values: Arc::clone(&values),
-                    iterations: out.iterations,
-                    checksum: sum,
-                },
-            );
-        }
-        let wall_us = job.received.elapsed().as_micros() as u64;
-        self.stats.record_completed(query.algo, wall_us);
-        Response::Query(QueryResult {
-            algo: query.algo,
-            graph: query.graph.clone(),
-            source: query.source,
-            nodes: values.len() as u64,
-            iterations: out.iterations,
-            checksum: sum,
-            cached: false,
-            wall_us,
-            values: query.include_values.then(|| values.as_ref().clone()),
-        })
-    }
-
-    fn execute_prepared(&self, job: &Job, prepared: &PreparedGraph, key: CacheKey) -> Response {
-        let query = &job.request;
         match run_query(
-            prepared,
+            &prepared,
             query.algo,
             query.source,
             query.limit,
             job.token.clone(),
         ) {
             Ok((values, iterations)) => {
-                let sum = checksum(&values);
-                let values = Arc::new(values);
-                if query.cache {
-                    self.cache.insert(
-                        key,
-                        CachedResult {
-                            values: Arc::clone(&values),
-                            iterations,
-                            checksum: sum,
-                        },
-                    );
-                }
-                let wall_us = job.received.elapsed().as_micros() as u64;
-                self.stats.record_completed(query.algo, wall_us);
-                Response::Query(QueryResult {
-                    algo: query.algo,
-                    graph: query.graph.clone(),
-                    source: query.source,
-                    nodes: values.len() as u64,
+                let result = CachedResult {
+                    checksum: checksum(&values),
+                    values: Arc::new(values),
                     iterations,
-                    checksum: sum,
-                    cached: false,
-                    wall_us,
-                    values: query.include_values.then(|| values.as_ref().clone()),
-                })
+                };
+                self.finish(job, result)
             }
             Err(error) => {
                 self.stats.record_failed();
@@ -1028,12 +917,6 @@ fn run_query(
         .with_backend(BackendKind::Sequential)
         .with_device_memory(u64::MAX)
         .with_cancel(token.clone());
-    let deadline = || {
-        Response::error(
-            ErrorCode::DeadlineExceeded,
-            "deadline expired during execution; partial state discarded",
-        )
-    };
     let pipeline = Pipeline::for_algo(algo, limit)
         .map_err(|e| Response::error(ErrorCode::BadRequest, e.to_string()))?;
     let out = engine
@@ -1046,7 +929,7 @@ fn run_query(
     // expired deadline is checked after the fact; monotone and PR
     // pipelines surface cancellation through the output itself.
     if out.cancelled || (algo == Algo::Bc && token.is_cancelled()) {
-        return Err(deadline());
+        return Err(deadline_exceeded());
     }
     // Pipelines whose post-pass appends extra sections (bounded paths:
     // distances then predecessors) are only valid on representations
@@ -1059,19 +942,12 @@ fn run_query(
     Ok((values, out.iterations))
 }
 
-/// The monotone program behind an [`Algo`] verb, when it has one —
-/// exactly the verbs the overlay-view executor can serve without
-/// materializing the merged graph.
-fn monotone_program(algo: Algo) -> Option<MonotoneProgram> {
-    match algo {
-        Algo::Bfs => Some(MonotoneProgram::BFS),
-        Algo::Sssp => Some(MonotoneProgram::SSSP),
-        Algo::Sswp => Some(MonotoneProgram::SSWP),
-        Algo::Cc => Some(MonotoneProgram::CC),
-        // True hop counts; each request masks its own k afterwards.
-        Algo::Khop => Some(MonotoneProgram::KHOP),
-        _ => None,
-    }
+/// The reply to a query whose deadline fired mid-run.
+fn deadline_exceeded() -> Response {
+    Response::error(
+        ErrorCode::DeadlineExceeded,
+        "deadline expired during execution; partial state discarded",
+    )
 }
 
 /// Folds a [`MutationError`] into the typed protocol vocabulary.
@@ -1116,19 +992,10 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("tigr-serve-accept".into())
-                .spawn(move || accept_loop_tcp(&core, &listener, &stop))?
-        };
-        Ok(Server {
-            core,
-            stop,
-            accept: Some(accept),
-            addr: ServerAddr::Tcp(local),
+        Server::start(core, ServerAddr::Tcp(local), move || {
+            let (stream, _) = listener.accept()?;
+            let _ = stream.set_nonblocking(false);
+            Ok((stream.try_clone()?, stream))
         })
     }
 
@@ -1143,19 +1010,35 @@ impl Server {
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
+        Server::start(core, ServerAddr::Unix(path), move || {
+            let (stream, _) = listener.accept()?;
+            let _ = stream.set_nonblocking(false);
+            Ok((stream.try_clone()?, stream))
+        })
+    }
+
+    /// Spawns the accept loop over a non-blocking listener's `accept`,
+    /// which yields each connection as a blocking (reader, writer)
+    /// pair: accepted sockets inherit the listener's non-blocking flag
+    /// on some platforms, and the per-connection protocol blocks.
+    fn start<S: Read + Write + Send + 'static>(
+        core: Arc<ServerCore>,
+        addr: ServerAddr,
+        accept: impl Fn() -> std::io::Result<(S, S)> + Send + 'static,
+    ) -> std::io::Result<Server> {
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("tigr-serve-accept".into())
-                .spawn(move || accept_loop_unix(&core, &listener, &stop))?
+                .spawn(move || accept_loop(&core, &stop, accept))?
         };
         Ok(Server {
             core,
             stop,
             accept: Some(accept),
-            addr: ServerAddr::Unix(path),
+            addr,
         })
     }
 
@@ -1196,48 +1079,21 @@ impl Drop for Server {
 
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-fn accept_loop_tcp(core: &Arc<ServerCore>, listener: &TcpListener, stop: &AtomicBool) {
+/// Accepts connections until `stop` is set, serving each on its own
+/// thread. Any accept error — `WouldBlock` from the non-blocking
+/// listener included — backs off for [`ACCEPT_POLL`].
+fn accept_loop<S: Read + Write + Send + 'static>(
+    core: &Arc<ServerCore>,
+    stop: &AtomicBool,
+    accept: impl Fn() -> std::io::Result<(S, S)>,
+) {
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
+        match accept() {
+            Ok((reader, writer)) => {
                 let core = Arc::clone(core);
                 let _ = std::thread::Builder::new()
                     .name("tigr-serve-conn".into())
-                    .spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        serve_connection(&core, reader, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn accept_loop_unix(core: &Arc<ServerCore>, listener: &UnixListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let core = Arc::clone(core);
-                let _ = std::thread::Builder::new()
-                    .name("tigr-serve-conn".into())
-                    .spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        serve_connection(&core, reader, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+                    .spawn(move || serve_connection(&core, reader, writer));
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
@@ -1247,9 +1103,7 @@ fn accept_loop_unix(core: &Arc<ServerCore>, listener: &UnixListener, stop: &Atom
 /// Reads request lines and writes response lines until EOF. Requests on
 /// one connection are answered in order; concurrency comes from many
 /// connections.
-fn serve_connection(core: &Arc<ServerCore>, reader: impl std::io::Read, mut writer: impl Write) {
-    // Accepted connections inherit the listener's non-blocking flag on
-    // some platforms; the per-connection protocol is blocking.
+fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl Write) {
     let reader = BufReader::new(reader);
     for line in reader.lines() {
         let line = match line {
@@ -1279,6 +1133,7 @@ fn serve_connection(core: &Arc<ServerCore>, reader: impl std::io::Read, mut writ
 mod tests {
     use super::*;
     use tigr_core::{GraphStore, PrepareSpec};
+    use tigr_engine::MonotoneProgram;
 
     fn small_core(config: ServerConfig) -> Arc<ServerCore> {
         let store = GraphStore::disabled();
@@ -1622,13 +1477,17 @@ mod tests {
     }
 
     fn mutable_core(config: ServerConfig) -> Arc<ServerCore> {
+        let core = ServerCore::new(config);
+        add_mutable_rmat8(&core);
+        core
+    }
+
+    fn add_mutable_rmat8(core: &ServerCore) {
         let store = GraphStore::disabled();
         let spec = PrepareSpec::generated("rmat:8:8", 42).with_uniform_weights(1, 64, 7);
         let prepared = store.prepare(&spec).unwrap();
         let mutable = MutableGraph::open(store, prepared).unwrap();
-        let core = ServerCore::new(config);
         core.add_mutable_graph("rmat8", Arc::new(mutable));
-        core
     }
 
     #[test]
@@ -1762,6 +1621,108 @@ mod tests {
             .map(|&bits| f64::from(f32::from_bits(bits)))
             .sum();
         assert!((sum - 1.0).abs() < 1e-3, "ranks sum to {sum}");
+        core.shutdown();
+    }
+
+    /// Mutates `core`'s unsplit "rmat8" graph so its snapshot is dirty:
+    /// a new node, edges into and out of it, and a removed base edge.
+    fn dirty(core: &ServerCore) {
+        match core.submit(Request::Mutate {
+            graph: "rmat8".into(),
+            ops: vec![
+                MutationOp::AddNode { nodes: 257 },
+                MutationOp::AddEdge { u: 0, v: 256, w: 2 },
+                MutationOp::AddEdge { u: 256, v: 1, w: 5 },
+                MutationOp::RemoveEdge { u: 0, v: 0 },
+            ],
+        }) {
+            Response::Mutate(m) => assert_eq!(m.applied + m.skipped, 4),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn dirty_answers_equal_sequential_runs_on_the_merged_graph() {
+        let core = mutable_core(ServerConfig::default());
+        dirty(&core);
+        let snapshot = core.mutable_graph("rmat8").unwrap().snapshot();
+        assert!(!snapshot.is_clean());
+        let merged = snapshot.merged().unwrap();
+        let engine = Engine::default()
+            .with_backend(BackendKind::Sequential)
+            .with_device_memory(u64::MAX);
+        for (algo, prog, source, limit) in [
+            (Algo::Bfs, MonotoneProgram::BFS, Some(3), None),
+            (Algo::Sssp, MonotoneProgram::SSSP, Some(3), None),
+            (Algo::Sswp, MonotoneProgram::SSWP, Some(3), None),
+            (Algo::Khop, MonotoneProgram::KHOP, Some(3), Some(3)),
+            (Algo::Cc, MonotoneProgram::CC, None, None),
+        ] {
+            let mut req = QueryRequest::new("rmat8", algo, source);
+            req.limit = limit;
+            req.include_values = true;
+            let served = match core.submit(Request::Query(req)) {
+                Response::Query(q) => q,
+                other => panic!("{algo:?}: {other:?}"),
+            };
+            let direct = engine
+                .run_prepared(&merged, prog, source.map(NodeId::new))
+                .unwrap();
+            let mut values = direct.values;
+            if let Some(k) = limit {
+                operators::mask_above(&mut values, k);
+            }
+            assert_eq!(
+                served.values.as_deref(),
+                Some(values.as_slice()),
+                "{algo:?}"
+            );
+            assert_eq!(served.checksum, checksum(&values), "{algo:?}");
+            assert_eq!(
+                served.iterations,
+                direct.directions.len() as u64,
+                "{algo:?}"
+            );
+        }
+        core.shutdown();
+    }
+
+    #[test]
+    fn same_epoch_dirty_queries_run_as_one_batch() {
+        // A core with no executor yet, so both queries are queued
+        // before anything pops them.
+        let core = ServerCore::without_workers(ServerConfig::default());
+        add_mutable_rmat8(&core);
+        dirty(&core);
+        let clients: Vec<_> = [3u32, 9]
+            .into_iter()
+            .map(|source| {
+                let core = Arc::clone(&core);
+                std::thread::spawn(move || {
+                    core.submit(Request::Query(QueryRequest::new(
+                        "rmat8",
+                        Algo::Sssp,
+                        Some(source),
+                    )))
+                })
+            })
+            .collect();
+        while core.queue.len() < 2 {
+            std::thread::yield_now();
+        }
+        core.spawn_worker();
+        for client in clients {
+            match client.join().unwrap() {
+                Response::Query(q) => assert!(!q.cached),
+                other => panic!("{other:?}"),
+            }
+        }
+        let stats = match core.submit(Request::Stats) {
+            Response::Stats(s) => s,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.batch_occupancy(), 2.0);
         core.shutdown();
     }
 

@@ -25,6 +25,7 @@ use proptest::prelude::*;
 use tigr::engine::batch::{BatchArena, BatchLane, BatchOutput, BatchProgram};
 use tigr::engine::{
     BackendKind, CpuOptions, CpuSchedule, Direction, EngineError, MonotoneOutput, PlanError,
+    PushOptions, SyncMode,
 };
 use tigr::server::checksum;
 use tigr::{Csr, CsrBuilder, Edge, Engine, MonotoneProgram, NodeId, Representation, VirtualGraph};
@@ -52,10 +53,28 @@ fn arb_graph(n: usize, m: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
+/// Both visibility disciplines: relaxed in-place updates (the server's
+/// plan) and BSP double buffering (the `lp` schedule).
+const SYNCS: [SyncMode; 2] = [SyncMode::Relaxed, SyncMode::Bsp];
+
 /// The single-source reference: the server's exact deterministic plan.
 fn solo(g: &Csr, prog: MonotoneProgram, source: Option<NodeId>) -> MonotoneOutput {
+    solo_with(g, prog, source, SyncMode::Relaxed)
+}
+
+/// The sequential single-source reference under `sync`.
+fn solo_with(
+    g: &Csr,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    sync: SyncMode,
+) -> MonotoneOutput {
     Engine::default()
         .with_backend(BackendKind::Sequential)
+        .with_options(PushOptions {
+            sync,
+            ..PushOptions::default()
+        })
         .run(&Representation::Original(g), prog, source)
         .unwrap()
 }
@@ -67,11 +86,26 @@ fn batched(
     sources: &[Option<NodeId>],
     arena: &mut BatchArena,
 ) -> BatchOutput {
+    batched_with(g, prog, sources, SyncMode::Relaxed, arena)
+}
+
+/// [`batched`] under `sync`.
+fn batched_with(
+    g: &Csr,
+    prog: MonotoneProgram,
+    sources: &[Option<NodeId>],
+    sync: SyncMode,
+    arena: &mut BatchArena,
+) -> BatchOutput {
     let batch = BatchProgram {
         prog,
         lanes: sources.iter().map(|&s| BatchLane::new(s)).collect(),
     };
     Engine::default()
+        .with_options(PushOptions {
+            sync,
+            ..PushOptions::default()
+        })
         .run_batch(&Representation::Original(g), &batch, arena)
         .unwrap()
 }
@@ -164,21 +198,23 @@ proptest! {
 
     /// The tentpole property: random graph × algorithm × source
     /// multiset (duplicates included by construction — picks collide
-    /// mod the node count), batched K-source run byte-equal to K
-    /// independent sequential runs.
+    /// mod the node count) × visibility discipline, batched K-source
+    /// run byte-equal to K independent sequential runs.
     #[test]
     fn batched_lanes_byte_equal_independent_sequential_runs(
         g in arb_graph(40, 200),
         algo in 0usize..4,
         picks in vec(0u32..10_000, 1..7),
+        sync in 0usize..2,
     ) {
         let prog = PROGRAMS[algo];
+        let sync = SYNCS[sync];
         let sources = lane_sources(prog, &picks, g.num_nodes() as u32);
         let mut arena = BatchArena::new();
-        let out = batched(&g, prog, &sources, &mut arena);
+        let out = batched_with(&g, prog, &sources, sync, &mut arena);
         prop_assert_eq!(out.lanes.len(), sources.len());
         for (i, (&source, lane)) in sources.iter().zip(&out.lanes).enumerate() {
-            let reference = solo(&g, prog, source);
+            let reference = solo_with(&g, prog, source, sync);
             assert_byte_equal(lane, &reference, &format!("{} lane {i} src {source:?}", prog.name));
         }
         let widest = out.lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
@@ -192,13 +228,15 @@ proptest! {
         g in arb_graph(40, 200),
         algo in 0usize..4,
         pick in 0u32..10_000,
+        sync in 0usize..2,
     ) {
         let prog = PROGRAMS[algo];
+        let sync = SYNCS[sync];
         let sources = lane_sources(prog, &[pick], g.num_nodes() as u32);
         let mut arena = BatchArena::new();
-        let out = batched(&g, prog, &sources, &mut arena);
+        let out = batched_with(&g, prog, &sources, sync, &mut arena);
         prop_assert_eq!(out.lanes.len(), 1);
-        assert_byte_equal(&out.lanes[0], &solo(&g, prog, sources[0]), prog.name);
+        assert_byte_equal(&out.lanes[0], &solo_with(&g, prog, sources[0], sync), prog.name);
     }
 
     /// A batch made entirely of one duplicated source yields identical
