@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use tigr_bench::{max_degree_source, prepare_input, print_table};
 use tigr_engine::{
-    run_cpu_pr, run_cpu_with, CpuOptions, CpuSchedule, MonotoneProgram, PrMode, PrOptions,
-    ScheduleStats,
+    run_cpu_pr, run_cpu_with, CpuOptions, CpuSchedule, ExecutionPlan, MonotoneProgram, PrMode,
+    PrOptions, PushOptions, ScheduleStats,
 };
 
 /// One measured (analytic, schedule) cell.
@@ -129,11 +129,17 @@ fn main() {
         repeats
     );
 
-    let opts = |schedule: CpuSchedule, frontier: bool| CpuOptions {
-        threads,
-        frontier,
-        schedule,
-        ..CpuOptions::default()
+    let opts = |schedule: CpuSchedule, worklist: bool| ExecutionPlan {
+        push: PushOptions {
+            worklist,
+            ..PushOptions::default()
+        },
+        cpu: CpuOptions {
+            threads,
+            schedule,
+            ..CpuOptions::default()
+        },
+        ..ExecutionPlan::default()
     };
 
     let mut samples: Vec<Sample> = Vec::new();

@@ -10,8 +10,9 @@
 
 use tigr_core::{CancelToken, PrepareSpec};
 use tigr_engine::{
-    default_threads, pr, Algo, CpuOptions, CpuSchedule, Direction, Engine, FrontierMode,
-    MonotoneProgram, Pipeline, PrMode, PushOptions, Representation, ScheduleStats,
+    default_threads, pr, Algo, BackendKind, BatchArena, BatchLane, BatchProgram, CpuOptions,
+    CpuSchedule, Direction, Engine, FrontierMode, MonotoneProgram, Pipeline, PrMode, PushOptions,
+    Representation, ScheduleStats,
 };
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::GpuConfig;
@@ -148,7 +149,10 @@ pub fn run(args: &Args) -> CmdResult {
         return Ok(out);
     }
 
-    let engine = Engine::parallel(GpuConfig::default())
+    // One host thread replays the simulator, so every counter below
+    // (edges touched, iterations, cycles, direction split) is the same
+    // on every run.
+    let engine = Engine::new(GpuConfig::default())
         .with_options(PushOptions {
             worklist,
             frontier,
@@ -355,21 +359,22 @@ pub fn run(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// The `--cpu` branch: wall-clock execution with a scheduling policy.
+/// The `--cpu` branch: wall-clock execution on the CpuPool backend
+/// under one plan — threads, schedule, direction, worklist and
+/// deadline. A monotone analytic runs as a batch of one lane.
 #[allow(clippy::too_many_arguments)]
 fn run_cpu(
     args: &Args,
     g: &Csr,
     algo: Algo,
     source: NodeId,
-    frontier: bool,
+    worklist: bool,
     schedule: Option<CpuSchedule>,
     direction: Direction,
     cancel: &CancelToken,
 ) -> CmdResult {
     let mut cpu = CpuOptions {
         threads: args.flag_or("threads", default_threads())?,
-        frontier,
         schedule: schedule.unwrap_or_default(),
         ..CpuOptions::default()
     };
@@ -380,17 +385,14 @@ fn run_cpu(
         return Err("--threads must be at least 1".into());
     }
     let engine = Engine::default()
+        .with_backend(BackendKind::CpuPool)
+        .with_direction(direction)
+        .with_options(PushOptions {
+            worklist,
+            ..PushOptions::default()
+        })
         .with_cpu_options(cpu)
         .with_cancel(cancel.clone());
-
-    // Pull and auto route through the pool backend's gather side (the
-    // batched executor's one-lane case) instead of the push-only solo
-    // CPU driver.
-    if direction != Direction::Push
-        && matches!(algo, Algo::Bfs | Algo::Sssp | Algo::Sswp | Algo::Cc)
-    {
-        return run_cpu_directed(args, g, algo, source, engine, direction);
-    }
 
     let mut out = String::new();
     let (iterations, edges, elapsed, sched) = match algo {
@@ -401,28 +403,52 @@ fn run_cpu(
                 Algo::Sswp => MonotoneProgram::SSWP,
                 _ => MonotoneProgram::CC,
             };
-            let src = prog.needs_source().then_some(source);
-            let result = engine.run_cpu(g, prog, src);
-            if result.cancelled {
+            let batch = BatchProgram {
+                prog,
+                lanes: vec![BatchLane::with_cancel(
+                    prog.needs_source().then_some(source),
+                    cancel.clone(),
+                )],
+            };
+            let start = std::time::Instant::now();
+            let mut result = engine
+                .run_batch(&Representation::Original(g), &batch, &mut BatchArena::new())
+                .map_err(|e| e.to_string())?;
+            let elapsed = start.elapsed();
+            let lane = result.lanes.pop().expect("one lane in, one lane out");
+            if lane.cancelled {
                 return Err(timeout_message(format!(
                     "{} on cpu stopped after {} iterations",
                     algo.label(),
-                    result.iterations
+                    lane.directions.len()
                 )));
             }
-            let finite = result
+            let finite = lane
                 .values
                 .iter()
                 .filter(|&&v| v != u32::MAX && v != 0)
                 .count();
+            let pulls = lane
+                .directions
+                .iter()
+                .filter(|&&d| d == Direction::Pull)
+                .count();
+            let direction_line = match direction {
+                Direction::Auto => format!(
+                    "auto ({} push / {} pull)",
+                    lane.directions.len() - pulls,
+                    pulls
+                ),
+                other => other.label().to_string(),
+            };
             out.push_str(&format!(
-                "{} on cpu: {finite} nodes with non-trivial values\n",
+                "{} on cpu: {finite} nodes with non-trivial values\ndirection       {direction_line}\n",
                 algo.label()
             ));
             (
-                result.iterations,
-                result.edges_touched,
-                result.elapsed,
+                lane.directions.len(),
+                lane.edges_touched,
+                elapsed,
                 result.sched,
             )
         }
@@ -469,7 +495,7 @@ fn run_cpu(
         "schedule        {}\nthreads         {}\nfrontier        {}\niterations      {}\nedges touched   {}\nwall time       {:.3} ms ({:.1} Medges/s)\n",
         sched.schedule.label(),
         engine.cpu_options().threads,
-        if frontier { "on" } else { "off" },
+        if worklist { "on" } else { "off" },
         iterations,
         edges,
         secs * 1e3,
@@ -477,79 +503,6 @@ fn run_cpu(
     ));
     if args.switch("stats") {
         out.push_str(&format_schedule_stats(&sched));
-    }
-    Ok(out)
-}
-
-/// The `--cpu` branch for pull/auto monotone runs: the CpuPool backend
-/// executes the plan (gather sweeps, Beamer switching), timed here
-/// since the backend reports no wall clock of its own.
-fn run_cpu_directed(
-    args: &Args,
-    g: &Csr,
-    algo: Algo,
-    source: NodeId,
-    engine: Engine,
-    direction: Direction,
-) -> CmdResult {
-    let prog = match algo {
-        Algo::Bfs => MonotoneProgram::BFS,
-        Algo::Sssp => MonotoneProgram::SSSP,
-        Algo::Sswp => MonotoneProgram::SSWP,
-        _ => MonotoneProgram::CC,
-    };
-    let src = prog.needs_source().then_some(source);
-    let engine = engine
-        .with_backend(tigr_engine::BackendKind::CpuPool)
-        .with_direction(direction);
-    let start = std::time::Instant::now();
-    let result = engine
-        .run_program(&Representation::Original(g), prog, src)
-        .map_err(|e| e.to_string())?;
-    let elapsed = start.elapsed();
-    if result.cancelled {
-        return Err(timeout_message(format!(
-            "{} on cpu stopped after {} iterations",
-            algo.label(),
-            result.directions.len()
-        )));
-    }
-    let finite = result
-        .values
-        .iter()
-        .filter(|&&v| v != u32::MAX && v != 0)
-        .count();
-    let pulls = result
-        .directions
-        .iter()
-        .filter(|&&d| d == Direction::Pull)
-        .count();
-    let direction_line = match direction {
-        Direction::Auto => format!(
-            "auto ({} push / {} pull)",
-            result.directions.len() - pulls,
-            pulls
-        ),
-        other => other.label().to_string(),
-    };
-    let secs = elapsed.as_secs_f64();
-    let meps = if secs > 0.0 {
-        result.edges_touched as f64 / secs / 1e6
-    } else {
-        0.0
-    };
-    let mut out = format!(
-        "{} on cpu: {finite} nodes with non-trivial values\ndirection       {direction_line}\nschedule        {}\nthreads         {}\niterations      {}\nedges touched   {}\nwall time       {:.3} ms ({:.1} Medges/s)\n",
-        algo.label(),
-        engine.cpu_options().schedule.label(),
-        engine.cpu_options().threads,
-        result.directions.len(),
-        result.edges_touched,
-        secs * 1e3,
-        meps,
-    );
-    if args.switch("stats") {
-        out.push_str("steals          n/a (batched executor)\n");
     }
     Ok(out)
 }
@@ -738,7 +691,40 @@ mod tests {
             assert!(out.contains("on cpu"), "{out}");
             assert!(out.contains(&format!("direction       {d}")), "{out}");
             assert_eq!(values(&out), values(&reference), "--direction {d}");
+            // The one pool driver reports real counters in every
+            // direction.
+            let steals = out
+                .lines()
+                .find(|l| l.starts_with("steals"))
+                .and_then(|l| l.split_whitespace().last())
+                .unwrap();
+            assert!(steals.parse::<u64>().is_ok(), "--direction {d}: {out}");
+            assert!(out.contains("imbalance"), "--direction {d}: {out}");
         }
+    }
+
+    #[test]
+    fn cpu_pull_with_frontier_off_gathers_every_edge_every_iteration() {
+        let (_dir, path) = fixture();
+        let m = crate::io_util::load_graph(&path).unwrap().num_edges() as u64;
+        let field = |s: &str, key: &str| -> u64 {
+            s.lines()
+                .find(|l| l.starts_with(key))
+                .and_then(|l| l.split_whitespace().last())
+                .unwrap()
+                .parse()
+                .unwrap()
+        };
+        let out = run(&parse(&format!(
+            "bfs --graph {path} --cpu --threads 2 --direction pull --frontier off"
+        )))
+        .unwrap();
+        assert!(out.contains("frontier        off"), "{out}");
+        assert_eq!(
+            field(&out, "edges touched"),
+            field(&out, "iterations") * m,
+            "{out}"
+        );
     }
 
     #[test]

@@ -23,7 +23,9 @@ use tigr_graph::reverse::transpose;
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuConfig, GpuSimulator, SimReport};
 
-use crate::batch::{run_batch_sequential_push, BatchArena, BatchLane, BatchProgram};
+use crate::batch::{
+    run_batch_sequential_push, run_solo_cpu_pool, BatchArena, BatchLane, BatchProgram,
+};
 use crate::frontier::{Frontier, FrontierBuilder, FrontierRep};
 use crate::kernel::{csr_edges, pull_gather, GatherFilter, NoMirror};
 use crate::plan::{BackendKind, Direction, ExecutionPlan};
@@ -374,9 +376,9 @@ impl Backend for WarpSim {
 }
 
 /// The wall-clock CPU backend over the persistent work-stealing pool.
-/// Push runs the dedicated solo engine; pull and auto route through the
-/// one-lane case of the parallel batched executor, which carries the
-/// pool's gather side and the Beamer density switch. Architectural
+/// Every direction runs as a one-lane batch of the pool driver
+/// ([`crate::batch::run_batch_cpu_pool`]), which carries the pool's
+/// push and gather sides and the Beamer density switch. Architectural
 /// metrics are absent, so the returned report is empty.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuPool;
@@ -396,46 +398,7 @@ impl Backend for CpuPool {
         let mut plan = plan.clone();
         plan.backend = BackendKind::CpuPool;
         plan.validate(rep, &prog)?;
-        if plan.direction != Direction::Push {
-            // Pull and auto share the batched executor's gather side;
-            // K = 1 degenerates to a solo run.
-            let batch = crate::batch::BatchProgram {
-                prog,
-                lanes: vec![crate::batch::BatchLane::with_cancel(
-                    source,
-                    plan.cancel.clone(),
-                )],
-            };
-            let mut arena = crate::batch::BatchArena::new();
-            let mut out = crate::batch::run_batch_cpu_pool(rep, None, &batch, &plan, &mut arena);
-            return Ok(out.lanes.pop().expect("one lane in, one lane out"));
-        }
-        let cancel = &plan.cancel;
-        let out = match rep {
-            Representation::Virtual { graph, overlay } => {
-                crate::cpu_parallel::run_cpu_virtual_cancellable(
-                    graph, overlay, prog, source, &plan.cpu, cancel,
-                )
-            }
-            Representation::Physical(t) => crate::cpu_parallel::run_cpu_with_cancellable(
-                t.graph(),
-                prog,
-                source,
-                &plan.cpu,
-                cancel,
-            ),
-            Representation::Original(g) | Representation::OnTheFly { graph: g, .. } => {
-                crate::cpu_parallel::run_cpu_with_cancellable(g, prog, source, &plan.cpu, cancel)
-            }
-        };
-        Ok(MonotoneOutput {
-            values: out.values,
-            report: SimReport::new(),
-            converged: !out.cancelled,
-            edges_touched: out.edges_touched,
-            directions: vec![Direction::Push; out.iterations],
-            cancelled: out.cancelled,
-        })
+        Ok(run_solo_cpu_pool(rep, None, prog, source, &plan).0)
     }
 }
 

@@ -34,18 +34,22 @@
 //!   SoA (one value array per lane): lanes converge at different
 //!   iterations, SoA lets finished lanes drop out without holes, and
 //!   `snapshot` is a straight copy.
-//! * [`run_batch_cpu_pool`] — the parallel executor (DESIGN.md §13).
-//!   Values are interleaved **lane-major per node**
+//! * [`run_batch_cpu_pool`] — the parallel executor and the one CpuPool
+//!   monotone driver (DESIGN.md §13). The server's CpuPool batches are
+//!   its K ≥ 1 calls; every solo CPU run — the [`crate::CpuPool`]
+//!   backend, [`crate::Engine`]'s CPU paths, and
+//!   [`crate::cpu_parallel::run_cpu_with`] / `run_cpu_virtual` — is a
+//!   K = 1 call. Values are interleaved **lane-major per node**
 //!   (`values[v * K + lane]`), so one edge walk relaxes every live
-//!   lane over contiguous memory; sweeps run on the work-stealing pool
-//!   under any [`crate::cpu_parallel::CpuSchedule`], the per-sweep
+//!   lane over contiguous memory; sweeps run under any
+//!   [`crate::cpu_parallel::CpuSchedule`] (node-chunk spawns threads
+//!   per epoch, the others use the work-stealing pool), the per-sweep
 //!   direction follows the Beamer density rule over the **merged**
 //!   live-lane frontier (one transpose pass gathers for all lanes when
 //!   it is dense), and per-worker scratch lives in [`BatchArena`].
 //!   Its contract is *value* equality with the solo sequential run —
 //!   `values`, checksum, `converged`, `cancelled` — while iteration
-//!   and edge counts reflect the fused schedule, exactly like the solo
-//!   CpuPool backend relative to Sequential.
+//!   and edge counts reflect the parallel, fused schedule.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -56,13 +60,13 @@ use tigr_graph::view::GraphView;
 use tigr_graph::{reverse::transpose, Csr, NodeId};
 use tigr_sim::SimReport;
 
-use crate::cpu_parallel::{balanced_cuts, count_bounds, CpuSchedule};
+use crate::cpu_parallel::{balanced_cuts, count_bounds, CpuSchedule, ScheduleStats};
 use crate::frontier::FrontierBuilder;
 use crate::kernel::{
-    csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, EdgeRef, NoMirror,
+    csr_edges, pull_gather_lanes, push_relax, push_relax_lanes, slice_edges, EdgeRef, NoMirror,
 };
 use crate::plan::{Direction, ExecutionPlan};
-use crate::pool::{with_pool, EpochRunner};
+use crate::pool::{with_pool, EpochRunner, SpawnPerEpoch};
 use crate::program::{InitKind, MonotoneProgram};
 use crate::push::{MonotoneOutput, PushOptions, SyncMode};
 use crate::representation::Representation;
@@ -127,6 +131,9 @@ pub struct BatchOutput {
     /// Fused sweeps executed — one per round in which at least one lane
     /// ran an iteration. `max` over lanes of their iteration count.
     pub sweeps: usize,
+    /// Steal and per-worker edge counters of the pool driver; the
+    /// single-threaded drivers report [`ScheduleStats::default`].
+    pub sched: ScheduleStats,
 }
 
 /// Reusable batch storage, so a worker thread executing a stream of
@@ -181,6 +188,9 @@ struct WorkerScratch {
     best: Vec<u32>,
     /// Per-lane edges-touched accumulators, flushed after the run.
     edges: Vec<u64>,
+    /// Edges this worker walked (once per edge, however many lanes it
+    /// relaxed), flushed into [`ScheduleStats::worker_edges`].
+    walked: u64,
 }
 
 impl Default for BatchArena {
@@ -282,6 +292,7 @@ impl BatchArena {
             ws.best.clear();
             ws.edges.clear();
             ws.edges.resize(k, 0);
+            ws.walked = 0;
         }
     }
 }
@@ -531,6 +542,7 @@ pub fn run_batch_sequential_push<G: GraphView + ?Sized>(
     BatchOutput {
         lanes: outputs,
         sweeps,
+        sched: ScheduleStats::default(),
     }
 }
 
@@ -657,10 +669,10 @@ struct BatchSweepState<'a> {
 impl BatchSweepState<'_> {
     fn process(&self, w: usize, r: Range<usize>) {
         match self.mode.load(Ordering::Relaxed) {
-            MODE_PUSH_LIST => self.push_sweep(w, r, true, false),
-            MODE_PUSH_FULL => self.push_sweep(w, r, false, false),
-            MODE_PUSH_VLIST => self.push_sweep(w, r, true, true),
-            MODE_PUSH_VFULL => self.push_sweep(w, r, false, true),
+            MODE_PUSH_LIST => self.push_sweep::<true, false>(w, r),
+            MODE_PUSH_FULL => self.push_sweep::<false, false>(w, r),
+            MODE_PUSH_VLIST => self.push_sweep::<true, true>(w, r),
+            MODE_PUSH_VFULL => self.push_sweep::<false, true>(w, r),
             MODE_PULL_LIST => self.pull_sweep(w, r, true),
             _ => self.pull_sweep(w, r, false),
         }
@@ -669,24 +681,25 @@ impl BatchSweepState<'_> {
     /// One push chunk: for each item, hoist the live lanes' source
     /// values (skipping lanes still at the identity — they have no
     /// path to push), then walk the adjacency once for all of them.
-    fn push_sweep(&self, w: usize, r: Range<usize>, list: bool, vnodes: bool) {
+    /// One instance per item shape (worklist or full range, virtual or
+    /// physical nodes) keeps mode branches out of the per-item path,
+    /// which a solo run's short adjacency lists make hot.
+    fn push_sweep<const LIST: bool, const VNODES: bool>(&self, w: usize, r: Range<usize>) {
         let live = self.live.read().unwrap();
         let items = self.items.read().unwrap();
         let mut guard = self.workers[w].lock().unwrap();
         let WorkerScratch {
-            lanes, dv, edges, ..
+            lanes,
+            dv,
+            edges,
+            walked,
+            ..
         } = &mut *guard;
         let k = self.k;
         let g = self.g;
-        let on_improve = |lane: usize, t: usize| {
-            self.changed[lane].store(true, Ordering::Relaxed);
-            if self.track {
-                self.union_next.activate(t);
-            }
-        };
         for idx in r {
-            let item = if list { items[idx] as usize } else { idx };
-            let (v, vn) = if vnodes {
+            let item = if LIST { items[idx] as usize } else { idx };
+            let (v, vn) = if VNODES {
                 let vn = self
                     .overlay
                     .expect("virtual mode requires an overlay")
@@ -712,44 +725,67 @@ impl BatchSweepState<'_> {
             if lanes.is_empty() {
                 continue;
             }
+            // Neighbor and weight slices are loop-invariant: index
+            // `row_ptr` once per item, not per edge.
             let touched = match vn {
                 Some(vn) if vn.stride == 1 => {
-                    let lo = vn.first_edge as usize;
-                    push_relax_lanes(
-                        self.prog,
-                        self.values,
-                        k,
-                        lanes,
-                        dv,
-                        csr_edges(g, lo..lo + vn.count as usize),
-                        &on_improve,
-                    )
+                    let (lo, hi) = (vn.first_edge as usize, (vn.first_edge + vn.count) as usize);
+                    let ws = g.weights().map(|w| &w[lo..hi]);
+                    self.relax_lanes(lanes, dv, slice_edges(lo, &g.col_idx()[lo..hi], ws))
                 }
-                Some(vn) => push_relax_lanes(
-                    self.prog,
-                    self.values,
-                    k,
-                    lanes,
-                    dv,
-                    csr_edges(g, vn.edge_indices()),
-                    &on_improve,
-                ),
+                Some(vn) => self.relax_lanes(lanes, dv, csr_edges(g, vn.edge_indices())),
                 None => {
                     let node = NodeId::from_index(v);
-                    push_relax_lanes(
-                        self.prog,
-                        self.values,
-                        k,
+                    self.relax_lanes(
                         lanes,
                         dv,
-                        csr_edges(g, g.edge_start(node)..g.edge_end(node)),
-                        &on_improve,
+                        slice_edges(
+                            g.edge_start(node),
+                            g.neighbors(node),
+                            g.neighbor_weights(node),
+                        ),
                     )
                 }
             };
+            *walked += touched;
             for &lane in lanes.iter() {
                 edges[lane as usize] += touched;
             }
+        }
+    }
+
+    /// Scatters `edges` for the hoisted `lanes`. A one-lane batch —
+    /// every solo CPU run — takes the scalar kernel: at `k = 1` the
+    /// lane-major layout is the plain value array.
+    #[inline(always)]
+    fn relax_lanes(&self, lanes: &[u32], dv: &[u32], edges: impl Iterator<Item = EdgeRef>) -> u64 {
+        if self.k == 1 {
+            push_relax(
+                &mut NoMirror,
+                self.prog,
+                self.values,
+                None,
+                dv[0],
+                edges,
+                |_, t| self.improved(0, t),
+            )
+        } else {
+            push_relax_lanes(self.prog, self.values, self.k, lanes, dv, edges, |l, t| {
+                self.improved(l, t)
+            })
+        }
+    }
+
+    /// Records that `lane` improved node `t` this sweep.
+    #[inline(always)]
+    fn improved(&self, lane: usize, t: usize) {
+        // Test before store: the flag's cache line stays shared across
+        // workers instead of bouncing on every improvement.
+        if !self.changed[lane].load(Ordering::Relaxed) {
+            self.changed[lane].store(true, Ordering::Relaxed);
+        }
+        if self.track {
+            self.union_next.activate(t);
         }
     }
 
@@ -769,7 +805,11 @@ impl BatchSweepState<'_> {
         };
         let mut guard = self.workers[w].lock().unwrap();
         let WorkerScratch {
-            dv, best, edges, ..
+            dv,
+            best,
+            edges,
+            walked,
+            ..
         } = &mut *guard;
         let k = self.k;
         for v in r {
@@ -792,6 +832,7 @@ impl BatchSweepState<'_> {
                 best,
             );
             if touched > 0 {
+                *walked += touched;
                 for &lane in live.iter() {
                     edges[lane as usize] += touched;
                 }
@@ -802,10 +843,7 @@ impl BatchSweepState<'_> {
                         .values
                         .try_improve(base + lane as usize, best[i], self.prog.combine)
                 {
-                    self.changed[lane as usize].store(true, Ordering::Relaxed);
-                    if self.track {
-                        self.union_next.activate(v);
-                    }
+                    self.improved(lane as usize, v);
                 }
             }
         }
@@ -821,23 +859,27 @@ struct LaneCtl {
     done: bool,
 }
 
-/// Runs `batch` over `rep` on the work-stealing CPU pool: one fused
-/// sweep over the merged live-lane frontier relaxes every lane per
-/// edge through the interleaved lane-major value buffer, partitioned
-/// by the plan's [`CpuSchedule`], with the per-sweep direction chosen
-/// by the Beamer α/β density rule over the merged frontier (when the
-/// plan says [`Direction::Auto`] and the representation licenses a
-/// pull side — the same rules as the solo auto driver). `pull`
-/// supplies a prebuilt transpose; otherwise one is built lazily on the
-/// first pull sweep.
+/// Runs `batch` over `rep` on the CPU pool — the one CpuPool monotone
+/// driver: one fused sweep over the merged live-lane frontier relaxes
+/// every lane per edge through the interleaved lane-major value buffer,
+/// partitioned by the plan's [`CpuSchedule`], with the per-sweep
+/// direction chosen by the Beamer α/β density rule over the merged
+/// frontier (when the plan says [`Direction::Auto`] and the
+/// representation licenses a pull side — the same rules as the
+/// simulator's auto driver). `pull` supplies a prebuilt transpose;
+/// otherwise one is built lazily on the first pull sweep. The schedule
+/// also picks the epoch runner: [`CpuSchedule::NodeChunk`] spawns its
+/// threads every epoch and never steals, the other schedules run on
+/// the persistent stealing pool. [`BatchOutput::sched`] reports the
+/// steals and the edges each worker walked.
 ///
 /// The contract is **value equality** with the solo sequential run:
 /// per-lane `values`, `converged`, and `cancelled` match, while
-/// iteration and edge counts reflect the fused schedule (merged
-/// frontiers, relaxed intra-sweep visibility, direction switching) —
-/// exactly the solo CpuPool backend's contract versus Sequential.
-/// Callers are expected to have validated the plan
-/// ([`ExecutionPlan::validate`]) against this representation first.
+/// iteration and edge counts reflect the parallel schedule (merged
+/// frontiers, relaxed intra-sweep visibility, direction switching; a
+/// full sweep skips nodes still at the combine identity). Callers are
+/// expected to have validated the plan ([`ExecutionPlan::validate`])
+/// against this representation first.
 ///
 /// # Panics
 ///
@@ -894,6 +936,11 @@ pub fn run_batch_cpu_pool(
         _ => None,
     };
     let edge_balanced = plan.cpu.schedule == CpuSchedule::EdgeBalanced;
+    let schedule = if overlay.is_some() {
+        CpuSchedule::Virtual
+    } else {
+        plan.cpu.schedule
+    };
 
     arena.ensure_parallel(k, n, threads);
     let BatchArena {
@@ -983,7 +1030,7 @@ pub fn run_batch_cpu_pool(
     };
 
     let body = |w: usize, r: Range<usize>| state.process(w, r);
-    with_pool(threads, &body, |pool| {
+    let mut drive = |runner: &dyn EpochRunner| {
         loop {
             // Per-lane pre-sweep checks, the solo driver's order:
             // iteration cap, then the cancellation poll. (Worklist
@@ -1113,7 +1160,7 @@ pub fn run_batch_cpu_pool(
                     }
                 }
             }
-            pool.run_epoch(&bounds);
+            runner.run_epoch(&bounds);
 
             if worklist {
                 state.union_next.drain_into(union_active);
@@ -1129,18 +1176,31 @@ pub fn run_batch_cpu_pool(
                 }
             }
         }
-    });
+    };
+    // Node-chunk is the no-stealing baseline: threads spawned anew every
+    // epoch. The other schedules run on the persistent stealing pool.
+    let steals = if schedule == CpuSchedule::NodeChunk {
+        drive(&SpawnPerEpoch::new(threads, &body));
+        0
+    } else {
+        with_pool(threads, &body, |pool| {
+            drive(pool);
+            pool.steals()
+        })
+    };
 
     // Return the scratch vectors to the arena for the next batch.
     *items = state.items.into_inner().unwrap();
     *union_bits = state.bits.into_inner().unwrap();
 
     let mut lane_edges = vec![0u64; k];
+    let mut worker_edges = Vec::with_capacity(threads);
     for ws in workers.iter().take(threads) {
         let s = ws.lock().unwrap();
         for (l, &e) in s.edges.iter().enumerate() {
             lane_edges[l] += e;
         }
+        worker_edges.push(s.walked);
     }
     let lanes = ctl
         .into_iter()
@@ -1154,7 +1214,36 @@ pub fn run_batch_cpu_pool(
             cancelled: c.cancelled,
         })
         .collect();
-    BatchOutput { lanes, sweeps }
+    BatchOutput {
+        lanes,
+        sweeps,
+        sched: ScheduleStats {
+            schedule,
+            steals,
+            worker_edges,
+        },
+    }
+}
+
+/// One query on the CPU pool: a one-lane [`run_batch_cpu_pool`] under
+/// the plan's own cancellation token. Every solo CpuPool run — the
+/// backend, [`crate::Engine`]'s CPU entry points and
+/// [`crate::cpu_parallel::run_cpu_with`] — goes through here. `pull`
+/// is a prebuilt transpose, as for [`run_batch_cpu_pool`].
+pub(crate) fn run_solo_cpu_pool(
+    rep: &Representation<'_>,
+    pull: Option<&Csr>,
+    prog: MonotoneProgram,
+    source: Option<NodeId>,
+    plan: &ExecutionPlan,
+) -> (MonotoneOutput, ScheduleStats) {
+    let batch = BatchProgram {
+        prog,
+        lanes: vec![BatchLane::with_cancel(source, plan.cancel.clone())],
+    };
+    let mut out = run_batch_cpu_pool(rep, pull, &batch, plan, &mut BatchArena::new());
+    let lane = out.lanes.pop().expect("one lane in, one lane out");
+    (lane, out.sched)
 }
 
 #[cfg(test)]

@@ -2,10 +2,8 @@
 //!
 //! The simulator measures *GPU-architectural* cost; this module is the
 //! complementary "actually run it fast on this machine" path used by the
-//! examples, `tigr run --cpu`, and the scheduling benches. It executes
-//! the same monotone programs (plus push PageRank) over the same atomic
-//! min/max value array, with work distributed by a [`CpuSchedule`]
-//! policy:
+//! examples, `tigr run --cpu`, and the scheduling benches. Work is
+//! distributed by a [`CpuSchedule`] policy:
 //!
 //! * [`CpuSchedule::NodeChunk`] — the legacy baseline: contiguous
 //!   equal-*node-count* chunks, executed by threads spawned anew every
@@ -23,30 +21,34 @@
 //!   their virtual families through
 //!   [`VirtualGraph::expand_active_into`]. Also pool-executed.
 //!
-//! All three policies reach the same fixpoint: the programs are
-//! monotone, updates go through atomic `fetch_min`/`fetch_max`, and
-//! stealing only changes *which worker* relaxes an edge, never whether
-//! it is relaxed (see DESIGN.md §8). [`CpuOptions::frontier`] switches
-//! the sweep from all nodes per iteration to only the nodes whose
-//! values changed last iteration, collected through the same
-//! deterministic [`FrontierBuilder`] the simulated engine uses.
+//! Monotone programs have one CPU driver,
+//! [`crate::batch::run_batch_cpu_pool`]: [`run_cpu_with`] and
+//! [`run_cpu_virtual`] are one-lane batches of it, and read everything
+//! from an [`ExecutionPlan`] — the CPU options, the direction, the
+//! worklist toggle (`PushOptions::worklist`, as on every backend) and
+//! the cancellation token. All three policies reach the same fixpoint:
+//! the programs are monotone, updates go through atomic
+//! `fetch_min`/`fetch_max`, and stealing only changes *which worker*
+//! relaxes an edge, never whether it is relaxed (see DESIGN.md §8).
+//! Push PageRank keeps its own scatter/finalize loop ([`run_cpu_pr`])
+//! over the same schedules and executors.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use tigr_core::{CancelToken, VirtualGraph};
 use tigr_graph::{Csr, NodeId};
 
 use crate::algorithms::pr::{PrMode, PrOptions};
-use crate::frontier::FrontierBuilder;
-use crate::kernel::{
-    csr_edges, push_relax, relax_kernel, slice_edges, EdgeFlow, EdgeRef, NoMirror,
-};
+use crate::batch::run_solo_cpu_pool;
+use crate::kernel::{csr_edges, relax_kernel, slice_edges, EdgeFlow, EdgeRef, NoMirror};
+use crate::plan::ExecutionPlan;
 use crate::pool::{self, EpochRunner};
 use crate::program::MonotoneProgram;
-use crate::state::{AtomicFloats, AtomicValues};
+use crate::push::PushOptions;
+use crate::representation::Representation;
+use crate::state::AtomicFloats;
 
 /// Work-distribution policy for the CPU engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -152,7 +154,7 @@ pub struct CpuRunOutput {
     pub values: Vec<u32>,
     /// BSP iterations executed.
     pub iterations: usize,
-    /// Wall-clock time of the iteration loop.
+    /// Wall-clock time of the driver call.
     pub elapsed: Duration,
     /// Edge relaxations attempted across all iterations.
     pub edges_touched: u64,
@@ -164,15 +166,12 @@ pub struct CpuRunOutput {
     pub cancelled: bool,
 }
 
-/// Knobs for [`run_cpu_with`].
+/// The CPU part of an [`ExecutionPlan`]: threads, schedule and the
+/// virtual chunk size.
 #[derive(Clone, Copy, Debug)]
 pub struct CpuOptions {
     /// Worker threads; must be at least 1.
     pub threads: usize,
-    /// Sweep only the active frontier each iteration instead of every
-    /// node. Same fixpoint, fewer edge relaxations on graphs where
-    /// activity is localized.
-    pub frontier: bool,
     /// Work-distribution policy.
     pub schedule: CpuSchedule,
     /// Degree bound `K` for [`CpuSchedule::Virtual`] when the overlay is
@@ -188,7 +187,6 @@ impl Default for CpuOptions {
     fn default() -> CpuOptions {
         CpuOptions {
             threads: default_threads(),
-            frontier: false,
             schedule: CpuSchedule::default(),
             virtual_k: 256,
         }
@@ -197,8 +195,8 @@ impl Default for CpuOptions {
 
 /// Runs `prog` over `g` with `threads` worker threads until convergence.
 ///
-/// Full-sweep convenience wrapper around [`run_cpu_with`] using the
-/// default (edge-balanced) schedule.
+/// Full-sweep push convenience wrapper around [`run_cpu_with`] using
+/// the default (edge-balanced) schedule.
 ///
 /// # Panics
 ///
@@ -210,29 +208,39 @@ pub fn run_cpu(
     source: Option<NodeId>,
     threads: usize,
 ) -> CpuRunOutput {
-    run_cpu_with(
-        g,
-        prog,
-        source,
-        &CpuOptions {
+    let plan = ExecutionPlan {
+        push: PushOptions {
+            worklist: false,
+            ..PushOptions::default()
+        },
+        cpu: CpuOptions {
             threads,
-            frontier: false,
             ..CpuOptions::default()
         },
-    )
+        ..ExecutionPlan::default()
+    };
+    run_cpu_with(g, prog, source, &plan)
 }
 
-/// Runs `prog` over `g` until convergence, per `options`.
+/// Runs `prog` over `g` until convergence per `plan`: a one-lane batch
+/// of [`crate::batch::run_batch_cpu_pool`] over the original graph.
 ///
-/// Uses relaxed synchronization (updates visible within an iteration),
-/// which is safe for monotone programs and converges fastest. With
-/// `options.frontier` set, each iteration relaxes only the out-edges of
-/// nodes improved in the previous iteration; the active set is drained
-/// in ascending node order, so the *work list* is deterministic
-/// regardless of thread interleaving (and the fixpoint values always
-/// are). For [`CpuSchedule::Virtual`] the overlay is built internally
-/// with `options.virtual_k`; use [`run_cpu_virtual`] to reuse a
-/// prebuilt one.
+/// The plan supplies the CPU options, the direction (push, pull over an
+/// internally built transpose, or auto), the worklist toggle
+/// (`plan.push.worklist`) and the cancellation token, polled between
+/// BSP iterations (never mid-sweep): a fired token stops the run with
+/// `cancelled = true` and a consistent monotone value prefix.
+///
+/// Sweeps use relaxed synchronization (updates visible within an
+/// iteration), which is safe for monotone programs and converges
+/// fastest. In worklist mode each iteration relaxes only the out-edges
+/// of nodes improved in the previous one, in ascending node order, so
+/// the *work list* is deterministic regardless of thread interleaving
+/// (and the fixpoint values always are). A full sweep skips nodes still
+/// at the combine identity: they have nothing to push. For
+/// [`CpuSchedule::Virtual`] the overlay is built internally with
+/// `plan.cpu.virtual_k`; use [`run_cpu_virtual`] to reuse a prebuilt
+/// one.
 ///
 /// A run over an empty graph (`num_nodes() == 0`) performs no
 /// relaxation work and reports exactly one (empty) inspection pass —
@@ -241,43 +249,19 @@ pub fn run_cpu(
 /// # Panics
 ///
 /// Panics if the program needs a source and none is given, if the source
-/// is out of range, or if `options.threads == 0`.
+/// is out of range, or if `plan.cpu.threads == 0`.
 pub fn run_cpu_with(
     g: &Csr,
     prog: MonotoneProgram,
     source: Option<NodeId>,
-    options: &CpuOptions,
+    plan: &ExecutionPlan,
 ) -> CpuRunOutput {
-    run_cpu_with_cancellable(g, prog, source, options, &CancelToken::never())
-}
-
-/// [`run_cpu_with`] with a cooperative cancellation hook: `cancel` is
-/// polled between BSP iterations (never mid-sweep), so a fired token
-/// stops the run with `cancelled = true` and a consistent monotone
-/// value prefix.
-///
-/// # Panics
-///
-/// See [`run_cpu_with`].
-pub fn run_cpu_with_cancellable(
-    g: &Csr,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &CpuOptions,
-    cancel: &CancelToken,
-) -> CpuRunOutput {
-    match options.schedule {
-        CpuSchedule::Virtual => {
-            let overlay = VirtualGraph::new(g, options.virtual_k.max(1));
-            run_monotone_cpu(g, Some(&overlay), prog, source, options, cancel)
-        }
-        _ => run_monotone_cpu(g, None, prog, source, options, cancel),
-    }
+    run_solo(&Representation::Original(g), prog, source, plan)
 }
 
 /// Runs `prog` over `g` scheduling the virtual nodes of a prebuilt
 /// `overlay` (consecutive or coalesced layout), regardless of
-/// `options.schedule`.
+/// `plan.cpu.schedule`.
 ///
 /// # Panics
 ///
@@ -288,288 +272,49 @@ pub fn run_cpu_virtual(
     overlay: &VirtualGraph,
     prog: MonotoneProgram,
     source: Option<NodeId>,
-    options: &CpuOptions,
-) -> CpuRunOutput {
-    run_cpu_virtual_cancellable(g, overlay, prog, source, options, &CancelToken::never())
-}
-
-/// [`run_cpu_virtual`] with a cooperative cancellation hook (see
-/// [`run_cpu_with_cancellable`] for the contract).
-///
-/// # Panics
-///
-/// See [`run_cpu_virtual`].
-pub fn run_cpu_virtual_cancellable(
-    g: &Csr,
-    overlay: &VirtualGraph,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &CpuOptions,
-    cancel: &CancelToken,
+    plan: &ExecutionPlan,
 ) -> CpuRunOutput {
     assert!(
         overlay.num_physical_nodes() == g.num_nodes(),
         "overlay built for a different graph"
     );
-    run_monotone_cpu(g, Some(overlay), prog, source, options, cancel)
-}
-
-/// Shared sweep state the worker body closures capture.
-struct SweepState<'a> {
-    g: &'a Csr,
-    overlay: Option<&'a VirtualGraph>,
-    prog: MonotoneProgram,
-    values: AtomicValues,
-    /// Frontier iterations map epoch indices through this list (node ids
-    /// for physical schedules, virtual-node indices under an overlay).
-    /// Full sweeps use the identity mapping and never touch it.
-    items: RwLock<Vec<u32>>,
-    next: FrontierBuilder,
-    changed: AtomicBool,
-    frontier: bool,
-    worker_edges: Vec<AtomicU64>,
-}
-
-impl SweepState<'_> {
-    /// Worker body: relax every item of `r`, crediting `w`'s counters.
-    fn process(&self, w: usize, r: Range<usize>) {
-        let mut touched = 0u64;
-        if self.frontier {
-            let items = self.items.read().unwrap();
-            for &item in &items[r] {
-                touched += self.relax(item as usize);
-            }
-        } else {
-            for item in r {
-                touched += self.relax(item);
-            }
-        }
-        self.worker_edges[w].fetch_add(touched, Ordering::Relaxed);
-    }
-
-    fn relax(&self, item: usize) -> u64 {
-        match self.overlay {
-            None => self.relax_node(item),
-            Some(ov) => self.relax_vnode(ov, item),
-        }
-    }
-
-    fn improved(&self, target: usize) {
-        if self.frontier {
-            self.next.activate(target);
-        } else {
-            self.changed.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Relaxes every out-edge of physical node `v`, returning how many
-    /// were attempted.
-    fn relax_node(&self, v: usize) -> u64 {
-        let node = NodeId::from_index(v);
-        let d = self.values.load(v);
-        // Neighbor and weight slices are loop-invariant: index `row_ptr`
-        // once per node, not per edge.
-        self.relax_edges(
-            d,
-            slice_edges(
-                self.g.edge_start(node),
-                self.g.neighbors(node),
-                self.g.neighbor_weights(node),
-            ),
-        )
-    }
-
-    /// Relaxes the ≤ K edges covered by virtual node `i`. Values are
-    /// read and written at the *physical* slot, so sibling virtual nodes
-    /// observe each other's updates instantly (§4.1).
-    fn relax_vnode(&self, ov: &VirtualGraph, i: usize) -> u64 {
-        let vn = ov.vnode(i);
-        let d = self.values.load(vn.physical.index());
-        if vn.stride == 1 {
-            // Consecutive cover: the same contiguous-slice inner loop as
-            // a physical node, just over ≤ K edges.
-            let (lo, hi) = (vn.first_edge as usize, (vn.first_edge + vn.count) as usize);
-            let ws = self.g.weights().map(|w| &w[lo..hi]);
-            self.relax_edges(d, slice_edges(lo, &self.g.col_idx()[lo..hi], ws))
-        } else {
-            self.relax_edges(d, csr_edges(self.g, vn.edge_indices()))
-        }
-    }
-
-    #[inline]
-    fn relax_edges(&self, d: u32, edges: impl Iterator<Item = EdgeRef>) -> u64 {
-        push_relax(
-            &mut NoMirror,
-            self.prog,
-            &self.values,
-            None,
-            d,
-            edges,
-            |_, target| self.improved(target),
-        )
-    }
-}
-
-fn run_monotone_cpu(
-    g: &Csr,
-    overlay: Option<&VirtualGraph>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &CpuOptions,
-    cancel: &CancelToken,
-) -> CpuRunOutput {
-    let threads = options.threads;
-    assert!(threads > 0, "need at least one worker thread");
-    let schedule = if overlay.is_some() {
-        CpuSchedule::Virtual
-    } else {
-        options.schedule
-    };
-    let n = g.num_nodes();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let start = Instant::now();
-    if n == 0 {
-        // Nothing to sweep: report the single empty inspection pass
-        // without dispatching a worker (let alone spawning one).
-        return CpuRunOutput {
-            values: values.snapshot(),
-            iterations: 1,
-            elapsed: start.elapsed(),
-            edges_touched: 0,
-            sched: ScheduleStats::new(schedule, vec![0; threads]),
-            cancelled: false,
-        };
-    }
-
-    let state = SweepState {
-        g,
-        overlay,
+    run_solo(
+        &Representation::Virtual { graph: g, overlay },
         prog,
-        values,
-        items: RwLock::new(Vec::new()),
-        next: FrontierBuilder::new(n),
-        changed: AtomicBool::new(false),
-        frontier: options.frontier,
-        worker_edges: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-    };
-    let body = |w: usize, r: Range<usize>| state.process(w, r);
-
-    let ((iterations, cancelled), steals) = if schedule == CpuSchedule::NodeChunk {
-        let runner = pool::SpawnPerEpoch::new(threads, &body);
-        (drive_monotone(&state, &runner, source, schedule, cancel), 0)
-    } else {
-        pool::with_pool(threads, &body, |p| {
-            (
-                drive_monotone(&state, p, source, schedule, cancel),
-                p.steals(),
-            )
-        })
-    };
-
-    let worker_edges: Vec<u64> = state
-        .worker_edges
-        .iter()
-        .map(|e| e.load(Ordering::Relaxed))
-        .collect();
-    CpuRunOutput {
-        values: state.values.snapshot(),
-        iterations,
-        elapsed: start.elapsed(),
-        edges_touched: worker_edges.iter().sum(),
-        sched: ScheduleStats {
-            schedule,
-            steals,
-            worker_edges,
-        },
-        cancelled,
-    }
+        source,
+        plan,
+    )
 }
 
-/// The BSP driver loop, shared by all schedules and executors. Returns
-/// `(iterations, cancelled)`; the token is polled between epochs only,
-/// so a cancelled run still ends on a consistent iteration boundary.
-fn drive_monotone(
-    state: &SweepState<'_>,
-    runner: &dyn EpochRunner,
+/// Times one K = 1 run of the pool driver and reports it as a
+/// [`CpuRunOutput`].
+fn run_solo(
+    rep: &Representation<'_>,
+    prog: MonotoneProgram,
     source: Option<NodeId>,
-    schedule: CpuSchedule,
-    cancel: &CancelToken,
-) -> (usize, bool) {
-    let g = state.g;
-    let n = g.num_nodes();
-    let threads = runner.workers();
-    let mut bounds = vec![(0usize, 0usize); threads];
-    let mut iterations = 0usize;
-
-    if state.frontier {
-        let mut active: Vec<u32> = state.prog.initial_frontier(n, source);
-        active.sort_unstable();
-        active.dedup();
-        let mut degree_prefix: Vec<u64> = Vec::new();
-        while !active.is_empty() {
-            if cancel.is_cancelled() {
-                return (iterations.max(1), true);
-            }
-            let nitems = {
-                let mut items = state.items.write().unwrap();
-                match state.overlay {
-                    Some(ov) => ov.expand_active_into(&active, &mut items),
-                    None => {
-                        items.clear();
-                        items.extend_from_slice(&active);
-                    }
-                }
-                items.len()
-            };
-            match schedule {
-                CpuSchedule::EdgeBalanced => {
-                    degree_prefix.clear();
-                    degree_prefix.push(0);
-                    let mut acc = 0u64;
-                    for &v in &active {
-                        acc += g.out_degree(NodeId::new(v)) as u64;
-                        degree_prefix.push(acc);
-                    }
-                    balanced_cuts(&degree_prefix, &mut bounds);
-                }
-                // Virtual items are degree-bounded, so an even item
-                // split is already edge-balanced to within K.
-                _ => count_bounds(nitems, &mut bounds),
-            }
-            runner.run_epoch(&bounds);
-            iterations += 1;
-            state.next.drain_into(&mut active);
-        }
-        // A frontier run with nothing initially active still counts as
-        // one (empty) inspection pass, matching the full-sweep loop.
-        (iterations.max(1), false)
+    plan: &ExecutionPlan,
+) -> CpuRunOutput {
+    assert!(plan.cpu.threads > 0, "need at least one worker thread");
+    let start = Instant::now();
+    let (lane, sched) = run_solo_cpu_pool(rep, None, prog, source, plan);
+    // An empty graph still counts its one (empty) inspection pass.
+    let iterations = if rep.num_value_slots() == 0 {
+        1
     } else {
-        // Static partition, computed once: the item space never changes.
-        match (schedule, state.overlay) {
-            (CpuSchedule::EdgeBalanced, None) => {
-                let prefix: Vec<u64> = g.row_ptr().iter().map(|&e| e as u64).collect();
-                balanced_cuts(&prefix, &mut bounds);
-            }
-            (_, Some(ov)) => count_bounds(ov.num_virtual_nodes(), &mut bounds),
-            _ => count_bounds(n, &mut bounds),
-        }
-        loop {
-            if cancel.is_cancelled() {
-                return (iterations, true);
-            }
-            state.changed.store(false, Ordering::Relaxed);
-            runner.run_epoch(&bounds);
-            iterations += 1;
-            if !state.changed.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        (iterations, false)
+        lane.directions.len()
+    };
+    CpuRunOutput {
+        iterations,
+        values: lane.values,
+        elapsed: start.elapsed(),
+        edges_touched: lane.edges_touched,
+        sched,
+        cancelled: lane.cancelled,
     }
 }
 
 /// Contiguous equal-item-count partition — the legacy node-chunk split.
-/// Shared with the batched executor ([`crate::batch`]).
+/// Shared by the pool driver ([`crate::batch`]) and [`run_cpu_pr`].
 pub(crate) fn count_bounds(total: usize, bounds: &mut [(usize, usize)]) {
     let chunk = total.div_ceil(bounds.len()).max(1);
     for (w, b) in bounds.iter_mut().enumerate() {
@@ -580,7 +325,7 @@ pub(crate) fn count_bounds(total: usize, bounds: &mut [(usize, usize)]) {
 /// Contiguous partition of `prefix.len() - 1` items so every part covers
 /// ≈ equal weight, where `prefix[i]` is the total weight of items
 /// `0..i` (e.g. `Csr::row_ptr`: equal *edge* counts per part).
-/// Shared with the batched executor ([`crate::batch`]).
+/// Shared by the pool driver ([`crate::batch`]) and [`run_cpu_pr`].
 pub(crate) fn balanced_cuts(prefix: &[u64], bounds: &mut [(usize, usize)]) {
     let parts = bounds.len();
     let items = prefix.len() - 1;
@@ -725,10 +470,12 @@ impl PrState<'_> {
 }
 
 /// Runs push-mode PageRank over `g` on the CPU, scheduled per
-/// `cpu_options` — the wall-clock counterpart of
+/// `plan.cpu` — the wall-clock counterpart of
 /// [`crate::algorithms::pr::run`]. Dangling mass redistributes
 /// uniformly; iteration stops when the L1 rank change drops below
-/// `options.tolerance` or at `options.max_iterations`.
+/// `options.tolerance` or at `options.max_iterations`. `plan.cancel`
+/// is polled between power iterations; a fired token stops the run
+/// with `cancelled = true`.
 ///
 /// Rank accumulation order varies with worker interleaving, so ranks are
 /// deterministic only to floating-point rounding (compare with a
@@ -738,23 +485,10 @@ impl PrState<'_> {
 /// # Panics
 ///
 /// Panics if `options.mode` is [`PrMode::Pull`] (the CPU path schedules
-/// the forward graph only) or `cpu_options.threads == 0`.
-pub fn run_cpu_pr(g: &Csr, options: &PrOptions, cpu_options: &CpuOptions) -> CpuPrOutput {
-    run_cpu_pr_cancellable(g, options, cpu_options, &CancelToken::never())
-}
-
-/// [`run_cpu_pr`] with a cooperative cancellation hook polled between
-/// power iterations (see [`run_cpu_with_cancellable`] for the contract).
-///
-/// # Panics
-///
-/// See [`run_cpu_pr`].
-pub fn run_cpu_pr_cancellable(
-    g: &Csr,
-    options: &PrOptions,
-    cpu_options: &CpuOptions,
-    cancel: &CancelToken,
-) -> CpuPrOutput {
+/// the forward graph only) or `plan.cpu.threads == 0`.
+pub fn run_cpu_pr(g: &Csr, options: &PrOptions, plan: &ExecutionPlan) -> CpuPrOutput {
+    let cpu_options = &plan.cpu;
+    let cancel = &plan.cancel;
     assert!(
         options.mode == PrMode::Push,
         "CPU PageRank supports push mode only"
@@ -898,12 +632,18 @@ mod tests {
     use tigr_graph::generators::{rmat, with_uniform_weights, RmatConfig};
     use tigr_graph::properties::dijkstra;
 
-    fn opts(threads: usize, frontier: bool, schedule: CpuSchedule) -> CpuOptions {
-        CpuOptions {
-            threads,
-            frontier,
-            schedule,
-            ..CpuOptions::default()
+    fn opts(threads: usize, worklist: bool, schedule: CpuSchedule) -> ExecutionPlan {
+        ExecutionPlan {
+            push: PushOptions {
+                worklist,
+                ..PushOptions::default()
+            },
+            cpu: CpuOptions {
+                threads,
+                schedule,
+                ..CpuOptions::default()
+            },
+            ..ExecutionPlan::default()
         }
     }
 
@@ -966,13 +706,19 @@ mod tests {
     }
 
     #[test]
-    fn full_sweep_charges_all_edges_every_iteration() {
+    fn full_sweep_charges_every_non_identity_node_every_iteration() {
         let g = with_uniform_weights(&rmat(&RmatConfig::graph500(8, 8), 7), 1, 32, 8);
-        let out = run_cpu(&g, MonotoneProgram::SSSP, Some(NodeId::new(0)), 2);
+        // CC labels never hold the combine identity: every edge, every
+        // iteration.
+        let cc = run_cpu(&g, MonotoneProgram::CC, None, 2);
         assert_eq!(
-            out.edges_touched,
-            g.num_edges() as u64 * out.iterations as u64
+            cc.edges_touched,
+            g.num_edges() as u64 * cc.iterations as u64
         );
+        // SSSP skips nodes still unreached (at the identity), so it
+        // charges fewer.
+        let sssp = run_cpu(&g, MonotoneProgram::SSSP, Some(NodeId::new(0)), 2);
+        assert!(sssp.edges_touched < g.num_edges() as u64 * sssp.iterations as u64);
     }
 
     #[test]
@@ -1029,7 +775,13 @@ mod tests {
         let g = tigr_graph::generators::star_graph(10);
         let other = tigr_graph::generators::star_graph(11);
         let ov = VirtualGraph::new(&other, 4);
-        let _ = run_cpu_virtual(&g, &ov, MonotoneProgram::CC, None, &CpuOptions::default());
+        let _ = run_cpu_virtual(
+            &g,
+            &ov,
+            MonotoneProgram::CC,
+            None,
+            &ExecutionPlan::default(),
+        );
     }
 
     #[test]
@@ -1118,7 +870,7 @@ mod tests {
     #[test]
     fn cpu_pr_empty_graph() {
         let g = tigr_graph::CsrBuilder::new(0).build();
-        let out = run_cpu_pr(&g, &PrOptions::default(), &CpuOptions::default());
+        let out = run_cpu_pr(&g, &PrOptions::default(), &ExecutionPlan::default());
         assert!(out.ranks.is_empty());
         assert!(out.converged);
         assert_eq!(out.iterations, 0);
@@ -1134,7 +886,7 @@ mod tests {
                 mode: PrMode::Pull,
                 ..PrOptions::default()
             },
-            &CpuOptions::default(),
+            &ExecutionPlan::default(),
         );
     }
 

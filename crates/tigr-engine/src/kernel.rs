@@ -1,9 +1,10 @@
 //! The single edge-relaxation inner loop (§5, Algorithm 2 lines 6–10).
 //!
 //! Every driver in this crate — simulated push ([`crate::push`]),
-//! simulated pull ([`crate::pull`]), the wall-clock CPU engine
-//! ([`crate::cpu_parallel`]), the sequential lane driver
-//! ([`crate::batch`]), PageRank and betweenness centrality
+//! simulated pull ([`crate::pull`]), the sequential lane driver and
+//! the CPU pool's one-lane push sweeps ([`crate::batch`]), PageRank
+//! (simulated in [`crate::algorithms`], wall-clock in
+//! [`crate::cpu_parallel`]) and betweenness centrality
 //! ([`crate::algorithms`]) — routes its per-edge work through
 //! [`relax_kernel`]. The loop is parameterized along two axes:
 //!

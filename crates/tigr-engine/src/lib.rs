@@ -66,8 +66,7 @@ pub use batch::{
     BatchOutput, BatchProgram, ViewOutput,
 };
 pub use cpu_parallel::{
-    default_threads, run_cpu, run_cpu_pr, run_cpu_pr_cancellable, run_cpu_virtual,
-    run_cpu_virtual_cancellable, run_cpu_with, run_cpu_with_cancellable, CpuOptions, CpuPrOutput,
+    default_threads, run_cpu, run_cpu_pr, run_cpu_virtual, run_cpu_with, CpuOptions, CpuPrOutput,
     CpuRunOutput, CpuSchedule, ScheduleStats,
 };
 pub use frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep, DENSE_FRACTION};

@@ -12,10 +12,10 @@ use tigr_graph::Csr;
 use tigr_core::{CancelToken, PreparedGraph};
 
 use crate::algorithms::{bc, pr};
-use crate::backend::{run_sim_plan, Backend, CpuPool, PullSide, Sequential};
+use crate::backend::{run_sim_plan, Backend, PullSide, Sequential};
+use crate::batch::run_solo_cpu_pool;
 use crate::cpu_parallel::{
-    run_cpu_pr_cancellable, run_cpu_with_cancellable, CpuOptions, CpuPrOutput, CpuRunOutput,
-    CpuSchedule,
+    run_cpu_pr, run_cpu_with, CpuOptions, CpuPrOutput, CpuRunOutput, CpuSchedule,
 };
 use crate::frontier::FrontierMode;
 use crate::operators::{
@@ -152,9 +152,9 @@ impl Engine {
         self
     }
 
-    /// Overrides the wall-clock CPU path's options (threads, frontier,
-    /// scheduling policy) used by [`Engine::run_cpu`] and
-    /// [`Engine::cpu_pagerank`].
+    /// Overrides the CPU options (threads, scheduling policy, virtual
+    /// chunk size) used by the [`BackendKind::CpuPool`] backend,
+    /// [`Engine::run_cpu`] and [`Engine::cpu_pagerank`].
     pub fn with_cpu_options(mut self, options: CpuOptions) -> Self {
         self.plan.cpu = options;
         self
@@ -249,17 +249,26 @@ impl Engine {
             BackendKind::WarpSim => Ok(run_sim_plan(
                 &self.sim, rep, pull_side, prog, source, &self.plan,
             )),
-            BackendKind::CpuPool => CpuPool.run_monotone(rep, prog, source, &self.plan),
+            // The pool gathers over the prepared transpose when there is
+            // one, instead of building its own at the first pull sweep.
+            BackendKind::CpuPool => Ok(run_solo_cpu_pool(
+                rep,
+                pull_side.map(|ps| ps.reverse),
+                prog,
+                source,
+                &self.plan,
+            )
+            .0),
             BackendKind::Sequential => Sequential.run_monotone(rep, prog, source, &self.plan),
         }
     }
 
     /// Runs a monotone program over a [`PreparedGraph`]: the
     /// representation is derived from the prepared views
-    /// ([`Representation::from_prepared`]), and — on the simulator
-    /// backend — a prepared transpose (plus mirrored overlay) feeds the
-    /// pull/auto drivers directly, so a cache-warm run performs no
-    /// transpose or overlay construction at all.
+    /// ([`Representation::from_prepared`]), and a prepared transpose
+    /// (plus, on the simulator, its mirrored overlay) feeds the pull and
+    /// auto drivers directly, so a cache-warm run performs no transpose
+    /// or overlay construction at all.
     ///
     /// # Errors
     ///
@@ -650,14 +659,14 @@ impl Engine {
     }
 
     /// Runs a monotone program on the wall-clock CPU path (no simulator)
-    /// with the plan's CPU options — threads, frontier, and the
-    /// [`CpuSchedule`] work-distribution policy all apply.
+    /// under the plan: threads, the [`CpuSchedule`] work-distribution
+    /// policy, direction, worklist toggle and cancellation all apply.
     ///
     /// # Panics
     ///
     /// See [`crate::cpu_parallel::run_cpu_with`].
     pub fn run_cpu(&self, g: &Csr, prog: MonotoneProgram, source: Option<NodeId>) -> CpuRunOutput {
-        run_cpu_with_cancellable(g, prog, source, &self.plan.cpu, &self.plan.cancel)
+        run_cpu_with(g, prog, source, &self.plan)
     }
 
     /// Runs push-mode PageRank on the wall-clock CPU path with the
@@ -667,7 +676,7 @@ impl Engine {
     ///
     /// See [`crate::cpu_parallel::run_cpu_pr`].
     pub fn cpu_pagerank(&self, g: &Csr, options: &pr::PrOptions) -> CpuPrOutput {
-        run_cpu_pr_cancellable(g, options, &self.plan.cpu, &self.plan.cancel)
+        run_cpu_pr(g, options, &self.plan)
     }
 
     /// Single-source betweenness centrality.
@@ -709,7 +718,11 @@ fn run_lanes_solo(
         lanes.push(Sequential.run_monotone(rep, batch.prog, lane.source, &lane_plan)?);
     }
     let sweeps = lanes.iter().map(|l| l.directions.len()).max().unwrap_or(0);
-    Ok(crate::batch::BatchOutput { lanes, sweeps })
+    Ok(crate::batch::BatchOutput {
+        lanes,
+        sweeps,
+        sched: Default::default(),
+    })
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ use tigr_graph::NodeId;
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::protocol::{
     checksum, decode_request, encode_response, Algo, CompactResult, ErrorCode, MutateResult,
-    QueryRequest, QueryResult, Request, Response,
+    ProtocolError, QueryRequest, QueryResult, Request, Response,
 };
 use crate::queue::{Bounded, PushError};
 use crate::stats::{GraphOpenStat, MutationGauges, StatsRecorder};
@@ -1100,22 +1100,52 @@ fn accept_loop<S: Read + Write + Send + 'static>(
     }
 }
 
+/// Longest request line a connection may send, newline excluded: far
+/// above any request the CLI or a benchmark client sends. A client that
+/// streams more without a newline gets one `bad-request` and loses its
+/// connection instead of growing one buffer without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Reads request lines and writes response lines until EOF. Requests on
 /// one connection are answered in order; concurrency comes from many
 /// connections.
 fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl Write) {
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Reading one byte past the cap is enough to tell an overlong
+        // line from a line of exactly `MAX_LINE_BYTES`.
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let response = match decode_request(&line) {
-            Ok(request) => core.submit(request),
-            Err(error) => Response::Error(error),
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let overlong = buf.len() > MAX_LINE_BYTES;
+        let response = if overlong {
+            Response::Error(ProtocolError::new(
+                ErrorCode::BadRequest,
+                format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            ))
+        } else {
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match decode_request(line) {
+                Ok(request) => core.submit(request),
+                Err(error) => Response::Error(error),
+            }
         };
         let payload = encode_response(&response);
         if writer
@@ -1123,6 +1153,7 @@ fn serve_connection(core: &Arc<ServerCore>, reader: impl Read, mut writer: impl 
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .is_err()
+            || overlong
         {
             break;
         }
@@ -1146,6 +1177,37 @@ mod tests {
 
     fn bfs_query(source: u32) -> Request {
         Request::Query(QueryRequest::new("rmat8", Algo::Bfs, Some(source)))
+    }
+
+    #[test]
+    fn overlong_request_line_gets_bad_request_and_only_its_connection_closes() {
+        let server = Server::bind_tcp(small_core(ServerConfig::default()), "127.0.0.1:0").unwrap();
+        let ServerAddr::Tcp(addr) = server.addr().clone() else {
+            panic!("bound over TCP");
+        };
+        // One byte over the cap, and no newline ever.
+        let mut flood = std::net::TcpStream::connect(addr).unwrap();
+        // A server that waits for the newline never answers: fail, not
+        // hang.
+        flood
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        flood.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let mut replies = String::new();
+        BufReader::new(&flood).read_to_string(&mut replies).unwrap();
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(lines.len(), 1, "one reply, then the server hangs up");
+        match crate::protocol::decode_response(lines[0]).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
+            other => panic!("{other:?}"),
+        }
+        // The daemon still serves everyone else.
+        let mut client = crate::Client::connect_tcp(addr).unwrap();
+        let result = client
+            .query(QueryRequest::new("rmat8", Algo::Bfs, Some(0)))
+            .unwrap();
+        assert!(result.iterations > 0);
+        server.shutdown();
     }
 
     #[test]

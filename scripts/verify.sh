@@ -51,6 +51,23 @@ echo "$warm" | grep -q "prep work       0 transforms, 0 transposes, 0 overlays" 
     || { echo "cache smoke: second run rebuilt derived views"; echo "$warm"; exit 1; }
 echo "cache smoke: warm run loaded every view from the artifact"
 
+echo "== cpu path smoke =="
+# Every --cpu direction runs through the one pool driver: push and auto
+# must both report real steal counters and the same fixpoint.
+cpu_answer=""
+for dir in push auto; do
+    cpu_out="$(cargo run --release -q -p tigr-cli --bin tigr -- run sssp --graph "$graph_file" \
+        --cpu --direction "$dir" --stats)"
+    echo "$cpu_out" | grep -qE "^steals +[0-9]+$" \
+        || { echo "cpu smoke: --direction $dir printed no numeric steals line"; echo "$cpu_out"; exit 1; }
+    answer="$(echo "$cpu_out" | grep "nodes with non-trivial values")"
+    [ -n "$answer" ] || { echo "cpu smoke: --direction $dir printed no answer"; echo "$cpu_out"; exit 1; }
+    [ -z "$cpu_answer" ] || [ "$answer" = "$cpu_answer" ] \
+        || { echo "cpu smoke: push and auto disagree"; echo "$cpu_answer vs $answer"; exit 1; }
+    cpu_answer="$answer"
+done
+echo "cpu smoke: push and auto report steals and agree: $cpu_answer"
+
 echo "== serve smoke =="
 # One query per served algorithm against an ephemeral-port daemon; the
 # stats verb must account for exactly those five queries.

@@ -494,7 +494,6 @@ mod seed_corpus {
                 threads: 2,
                 schedule: CpuSchedule::Virtual,
                 virtual_k: 0,
-                ..CpuOptions::default()
             })
             .run_batch(
                 &Representation::Original(&g),

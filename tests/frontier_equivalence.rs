@@ -14,7 +14,8 @@ use proptest::prelude::*;
 
 use tigr::engine::{
     run_cpu_virtual, run_cpu_with, run_monotone, BackendKind, CpuOptions, CpuSchedule, Direction,
-    EdgeOp, Engine, EngineError, FrontierMode, MonotoneProgram, PlanError, PushOptions, SyncMode,
+    EdgeOp, Engine, EngineError, ExecutionPlan, FrontierMode, MonotoneProgram, PlanError,
+    PushOptions, SyncMode,
 };
 use tigr::{
     circular_transform, clique_transform, star_transform, udt_transform, Csr, CsrBuilder,
@@ -163,7 +164,7 @@ proptest! {
                 for frontier in [false, true] {
                     for threads in [1usize, 4] {
                         let mut o = cpu_opts(threads, frontier, schedule);
-                        o.virtual_k = k.max(1);
+                        o.cpu.virtual_k = k.max(1);
                         let out = run_cpu_with(&g, prog, source, &o);
                         prop_assert_eq!(
                             &out.values, &seq.values,
@@ -230,12 +231,18 @@ proptest! {
     }
 }
 
-fn cpu_opts(threads: usize, frontier: bool, schedule: CpuSchedule) -> CpuOptions {
-    CpuOptions {
-        threads,
-        frontier,
-        schedule,
-        ..CpuOptions::default()
+fn cpu_opts(threads: usize, frontier: bool, schedule: CpuSchedule) -> ExecutionPlan {
+    ExecutionPlan {
+        push: PushOptions {
+            worklist: frontier,
+            ..PushOptions::default()
+        },
+        cpu: CpuOptions {
+            threads,
+            schedule,
+            ..CpuOptions::default()
+        },
+        ..ExecutionPlan::default()
     }
 }
 
@@ -300,7 +307,7 @@ proptest! {
                         let engine = Engine::new(GpuConfig::tiny())
                             .with_backend(BackendKind::CpuPool)
                             .with_direction(direction)
-                            .with_cpu_options(cpu_opts(2, true, schedule));
+                            .with_cpu_options(cpu_opts(2, true, schedule).cpu);
                         let out = engine.run_program(rep, prog, source).unwrap();
                         prop_assert_eq!(
                             &out.values, &reference.values,

@@ -45,7 +45,6 @@ fn opts(worklist: bool, frontier: FrontierMode) -> PushOptions {
 fn cpu_opts(threads: usize, schedule: CpuSchedule) -> CpuOptions {
     CpuOptions {
         threads,
-        frontier: true,
         schedule,
         ..CpuOptions::default()
     }
