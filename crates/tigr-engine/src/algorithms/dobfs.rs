@@ -12,16 +12,15 @@
 //! virtual overlay).
 //!
 //! This module is a thin facade: the switch itself lives in the plan
-//! layer ([`crate::plan::Direction::Auto`]) and the driver is the
-//! generic [`crate::backend`] auto loop, so BFS is just the monotone
-//! BFS program run under an auto-direction plan with a caller-supplied
-//! transpose.
+//! layer ([`crate::plan::Direction::Auto`]) and the driver is
+//! [`crate::run_monotone`], so BFS is just the monotone BFS program run
+//! under an auto-direction plan with a caller-supplied transpose.
 
 use tigr_core::VirtualGraph;
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuSimulator, SimReport};
 
-use crate::backend::{run_monotone_auto, PullSide};
+use crate::backend::{run_monotone, PullSide};
 use crate::frontier::FrontierMode;
 use crate::plan::{self, AutoOptions, ExecutionPlan};
 use crate::program::MonotoneProgram;
@@ -129,13 +128,13 @@ pub fn run(
         ..ExecutionPlan::default()
     };
 
-    let out = run_monotone_auto(
+    let out = run_monotone(
         sim,
         &rep,
-        Some(pull_side),
         MonotoneProgram::BFS,
         Some(source),
         &exec,
+        Some(pull_side),
     );
     DoBfsOutput {
         levels: out.values,

@@ -1,9 +1,10 @@
 //! The six graph analytics of the paper's evaluation (§6.1): BFS, CC,
 //! SSSP, SSWP, BC, and PR.
 //!
-//! The four monotone analytics are thin wrappers over
-//! [`crate::push::run_monotone`]; PageRank and betweenness centrality
-//! have dedicated multi-kernel drivers.
+//! The four monotone analytics are [`crate::MonotoneProgram`] constants
+//! run by [`crate::run_monotone`]; their modules document each program's
+//! semantics and test it. PageRank and betweenness centrality have
+//! dedicated multi-kernel drivers.
 
 pub mod bc;
 pub mod bfs;

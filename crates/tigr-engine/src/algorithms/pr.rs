@@ -75,6 +75,9 @@ pub struct PrOutput {
 /// `out_degrees` are the **original** per-node out-degrees (push: the
 /// degrees of `rep`'s own graph; pull: the degrees of the graph whose
 /// transpose `rep` wraps). Dangling nodes redistribute uniformly.
+/// `cancel` is polled between power iterations: a fired token stops the
+/// run with `cancelled = true`, returning the ranks of the last
+/// completed iteration ([`CancelToken::never`] runs to convergence).
 ///
 /// # Panics
 ///
@@ -83,22 +86,6 @@ pub struct PrOutput {
 /// changes the degrees PR depends on — use a virtual representation, as
 /// the paper does).
 pub fn run(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    out_degrees: &[u32],
-    options: &PrOptions,
-) -> PrOutput {
-    run_cancellable(sim, rep, out_degrees, options, &CancelToken::never())
-}
-
-/// [`run`] with a cooperative cancellation hook polled between power
-/// iterations: a fired token stops the run with `cancelled = true`,
-/// returning the ranks of the last completed iteration.
-///
-/// # Panics
-///
-/// See [`run`].
-pub fn run_cancellable(
     sim: &GpuSimulator,
     rep: &Representation<'_>,
     out_degrees: &[u32],
@@ -330,6 +317,7 @@ mod tests {
             &Representation::Original(&g),
             &out_degrees(&g),
             &opts(PrMode::Push),
+            &CancelToken::never(),
         );
         assert!(out.converged);
         assert_close(&out.ranks, &expect, 1e-4);
@@ -348,6 +336,7 @@ mod tests {
             &Representation::Original(&rev),
             &out_degrees(&g),
             &opts(PrMode::Pull),
+            &CancelToken::never(),
         );
         assert_close(&out.ranks, &expect, 1e-4);
     }
@@ -366,6 +355,7 @@ mod tests {
             },
             &out_degrees(&g),
             &opts(PrMode::Push),
+            &CancelToken::never(),
         );
         assert_close(&out.ranks, &expect, 1e-4);
     }
@@ -387,6 +377,7 @@ mod tests {
             },
             &out_degrees(&g),
             &opts(PrMode::Pull),
+            &CancelToken::never(),
         );
         assert_close(&out.ranks, &expect, 1e-4);
     }
@@ -405,6 +396,7 @@ mod tests {
                 tolerance: 0.0,
                 ..opts(PrMode::Push)
             },
+            &CancelToken::never(),
         );
         let pull = run(
             &sim,
@@ -415,6 +407,7 @@ mod tests {
                 tolerance: 0.0,
                 ..opts(PrMode::Pull)
             },
+            &CancelToken::never(),
         );
         assert!(
             pull.report.total().atomic_ops < push.report.total().atomic_ops / 2,
@@ -436,6 +429,7 @@ mod tests {
             &Representation::Physical(&t),
             &degs,
             &PrOptions::default(),
+            &CancelToken::never(),
         );
     }
 
@@ -448,6 +442,7 @@ mod tests {
             &Representation::Original(&g),
             &[],
             &PrOptions::default(),
+            &CancelToken::never(),
         );
         assert!(out.ranks.is_empty());
         assert!(out.converged);

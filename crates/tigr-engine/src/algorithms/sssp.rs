@@ -1,55 +1,22 @@
 //! Single-source shortest path — the paper's running example (Figure 2,
-//! Algorithms 2 and 3, the Table 8 case study).
-
-use tigr_graph::NodeId;
-use tigr_sim::GpuSimulator;
-
-use crate::program::MonotoneProgram;
-use crate::push::{run_monotone, MonotoneOutput, PushOptions};
-use crate::representation::Representation;
-
-/// Runs SSSP from `source` over `rep`.
-///
-/// Distances are `u32` with `u32::MAX` marking unreachable nodes. For a
-/// physically transformed representation, the graph must have been built
-/// with [`tigr_core::DumbWeight::Zero`] (Corollary 2).
-///
-/// # Example
-///
-/// ```
-/// use tigr_engine::{sssp, PushOptions, Representation};
-/// use tigr_graph::CsrBuilder;
-/// use tigr_sim::{GpuConfig, GpuSimulator};
-///
-/// let g = CsrBuilder::new(3)
-///     .weighted_edge(0, 1, 5)
-///     .weighted_edge(1, 2, 7)
-///     .build();
-/// let sim = GpuSimulator::new(GpuConfig::default());
-/// let out = sssp::run(
-///     &sim,
-///     &Representation::Original(&g),
-///     tigr_graph::NodeId::new(0),
-///     &PushOptions::default(),
-/// );
-/// assert_eq!(out.values, vec![0, 5, 12]);
-/// ```
-pub fn run(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    source: NodeId,
-    options: &PushOptions,
-) -> MonotoneOutput {
-    run_monotone(sim, rep, MonotoneProgram::SSSP, Some(source), options)
-}
+//! Algorithms 2 and 3, the Table 8 case study), run as
+//! [`crate::MonotoneProgram::SSSP`] through [`crate::run_monotone`].
+//!
+//! Distances are `u32` with `u32::MAX` marking unreachable nodes. For a
+//! physically transformed representation, the graph must have been built
+//! with [`tigr_core::DumbWeight::Zero`] (Corollary 2).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::backend::run_monotone;
+    use crate::plan::ExecutionPlan;
+    use crate::program::MonotoneProgram;
+    use crate::representation::Representation;
     use tigr_core::{circular_transform, star_transform, udt_transform, DumbWeight, VirtualGraph};
     use tigr_graph::generators::{rmat, with_uniform_weights, RmatConfig};
     use tigr_graph::properties::dijkstra;
-    use tigr_sim::GpuConfig;
+    use tigr_graph::NodeId;
+    use tigr_sim::{GpuConfig, GpuSimulator};
 
     fn fixture() -> tigr_graph::Csr {
         let g = rmat(&RmatConfig::graph500(8, 8), 17);
@@ -62,9 +29,12 @@ mod tests {
         let src = NodeId::new(0);
         let expect = dijkstra(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
-        let o = PushOptions::default();
+        let o = ExecutionPlan::default();
+        let run = |rep: &Representation<'_>| {
+            run_monotone(&sim, rep, MonotoneProgram::SSSP, Some(src), &o, None)
+        };
 
-        let orig = run(&sim, &Representation::Original(&g), src, &o);
+        let orig = run(&Representation::Original(&g));
         assert_eq!(orig.values, expect);
 
         for t in [
@@ -72,20 +42,15 @@ mod tests {
             star_transform(&g, 4, DumbWeight::Zero),
             circular_transform(&g, 4, DumbWeight::Zero),
         ] {
-            let out = run(&sim, &Representation::Physical(&t), src, &o);
+            let out = run(&Representation::Physical(&t));
             assert_eq!(t.project_values(&out.values), expect, "{}", t.topology());
         }
 
         for ov in [VirtualGraph::new(&g, 10), VirtualGraph::coalesced(&g, 10)] {
-            let out = run(
-                &sim,
-                &Representation::Virtual {
-                    graph: &g,
-                    overlay: &ov,
-                },
-                src,
-                &o,
-            );
+            let out = run(&Representation::Virtual {
+                graph: &g,
+                overlay: &ov,
+            });
             assert_eq!(out.values, expect, "coalesced={}", ov.is_coalesced());
         }
     }
@@ -96,11 +61,13 @@ mod tests {
             .weighted_edge(0, 1, 3)
             .build();
         let sim = GpuSimulator::new(GpuConfig::tiny());
-        let out = run(
+        let out = run_monotone(
             &sim,
             &Representation::Original(&g),
-            NodeId::new(0),
-            &PushOptions::default(),
+            MonotoneProgram::SSSP,
+            Some(NodeId::new(0)),
+            &ExecutionPlan::default(),
+            None,
         );
         assert_eq!(out.values, vec![0, 3, u32::MAX, u32::MAX]);
     }

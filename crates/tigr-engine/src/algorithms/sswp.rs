@@ -1,35 +1,30 @@
-//! Single-source widest path (bottleneck paths, Corollary 3).
-
-use tigr_graph::NodeId;
-use tigr_sim::GpuSimulator;
-
-use crate::program::MonotoneProgram;
-use crate::push::{run_monotone, MonotoneOutput, PushOptions};
-use crate::representation::Representation;
-
-/// Runs SSWP from `source` over `rep`: each node's value converges to the
-/// maximum over paths of the minimum edge weight along the path. The
-/// source holds `u32::MAX`; unreachable nodes hold `0`.
-///
-/// For physical representations the transformation must use
-/// [`tigr_core::DumbWeight::Infinity`] so introduced edges never tighten
-/// a bottleneck (Corollary 3).
-pub fn run(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    source: NodeId,
-    options: &PushOptions,
-) -> MonotoneOutput {
-    run_monotone(sim, rep, MonotoneProgram::SSWP, Some(source), options)
-}
+//! Single-source widest path (bottleneck paths, Corollary 3), run as
+//! [`crate::MonotoneProgram::SSWP`] through [`crate::run_monotone`]:
+//! each node's value converges to the maximum over paths of the minimum
+//! edge weight along the path. The source holds `u32::MAX`; unreachable
+//! nodes hold `0`.
+//!
+//! For physical representations the transformation must use
+//! [`tigr_core::DumbWeight::Infinity`] so introduced edges never tighten
+//! a bottleneck (Corollary 3).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::backend::run_monotone;
+    use crate::plan::ExecutionPlan;
+    use crate::program::MonotoneProgram;
+    use crate::push::MonotoneOutput;
+    use crate::representation::Representation;
     use tigr_core::{udt_transform, DumbWeight, VirtualGraph};
     use tigr_graph::generators::{rmat, with_uniform_weights, RmatConfig};
     use tigr_graph::properties::widest_path;
-    use tigr_sim::GpuConfig;
+    use tigr_graph::NodeId;
+    use tigr_sim::{GpuConfig, GpuSimulator};
+
+    fn run(sim: &GpuSimulator, rep: &Representation<'_>, src: NodeId) -> MonotoneOutput {
+        let plan = ExecutionPlan::default();
+        run_monotone(sim, rep, MonotoneProgram::SSWP, Some(src), &plan, None)
+    }
 
     fn fixture() -> tigr_graph::Csr {
         let g = rmat(&RmatConfig::graph500(8, 8), 29);
@@ -42,14 +37,12 @@ mod tests {
         let src = NodeId::new(0);
         let expect = widest_path(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
-        let o = PushOptions::default();
-
-        let orig = run(&sim, &Representation::Original(&g), src, &o);
+        let orig = run(&sim, &Representation::Original(&g), src);
         assert_eq!(orig.values, expect);
 
         // Physical needs INFINITE dumb weights.
         let t = udt_transform(&g, 4, DumbWeight::Infinity);
-        let out = run(&sim, &Representation::Physical(&t), src, &o);
+        let out = run(&sim, &Representation::Physical(&t), src);
         assert_eq!(t.project_values(&out.values), expect);
 
         let ov = VirtualGraph::coalesced(&g, 10);
@@ -60,7 +53,6 @@ mod tests {
                 overlay: &ov,
             },
             src,
-            &o,
         );
         assert_eq!(out.values, expect);
     }
@@ -76,12 +68,7 @@ mod tests {
             return; // nothing split, nothing to corrupt
         }
         let sim = GpuSimulator::new(GpuConfig::default());
-        let out = run(
-            &sim,
-            &Representation::Physical(&t),
-            src,
-            &PushOptions::default(),
-        );
+        let out = run(&sim, &Representation::Physical(&t), src);
         assert_ne!(t.project_values(&out.values), expect);
     }
 }

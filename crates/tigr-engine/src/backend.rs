@@ -10,15 +10,17 @@
 //! differential tests can pit any cell of the plan matrix against the
 //! sequential reference.
 //!
-//! This module also hosts the generalized direction-optimizing driver
-//! ([`Direction::Auto`]): Beamer's α/β density switch, lifted from the
-//! bespoke BFS implementation to any monotone program (pull steps over
-//! split views are taken only when Theorem 3 licenses them).
+//! This module also hosts the simulator's one monotone driver,
+//! [`run_monotone`]: push, pull and the direction-optimizing
+//! [`Direction::Auto`] (Beamer's α/β density switch, generalized from
+//! BFS to any monotone program; pull steps over split views are taken
+//! only when Theorem 3 licenses them) are one iteration loop.
 
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 
-use tigr_core::VirtualGraph;
+use tigr_core::{OnTheFlyMapper, VirtualGraph};
 use tigr_graph::reverse::transpose;
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuConfig, GpuSimulator, SimReport};
@@ -26,12 +28,12 @@ use tigr_sim::{GpuConfig, GpuSimulator, SimReport};
 use crate::batch::{
     run_batch_sequential_push, run_solo_cpu_pool, BatchArena, BatchLane, BatchProgram,
 };
-use crate::frontier::{Frontier, FrontierBuilder, FrontierRep};
+use crate::frontier::{Frontier, FrontierBuilder, FrontierMode, FrontierRep};
 use crate::kernel::{csr_edges, pull_gather, GatherFilter, NoMirror};
 use crate::plan::{BackendKind, Direction, ExecutionPlan};
 use crate::program::{EdgeOp, InitKind, MonotoneProgram};
-use crate::pull::{pull_step, run_monotone_pull_cancellable, GatherCtx, PullOptions};
-use crate::push::{run_monotone_cancellable, worklist_sweep, IterCtx, MonotoneOutput, SyncMode};
+use crate::pull::{pull_step, GatherCtx};
+use crate::push::{full_sweep, worklist_sweep, IterCtx, MonotoneOutput, SyncMode};
 use crate::representation::Representation;
 use crate::runner::EngineError;
 use crate::state::{AtomicValues, Combine};
@@ -53,110 +55,52 @@ pub trait Backend: fmt::Debug {
     ) -> Result<MonotoneOutput, EngineError>;
 }
 
-/// Prebuilt transpose-side structures for the auto driver: callers that
-/// already hold the reverse CSR (and possibly its overlay) skip the lazy
-/// construction.
-pub(crate) struct PullSide<'a> {
+/// Prebuilt transpose-side views for the pull steps of a run: callers
+/// that already hold the reverse CSR (and possibly its overlay) skip
+/// the lazy construction.
+#[derive(Clone, Copy, Debug)]
+pub struct PullSide<'a> {
     /// The transpose of the forward graph.
-    pub(crate) reverse: &'a Csr,
+    pub reverse: &'a Csr,
     /// Virtual overlay built over `reverse`, when the forward
     /// representation is virtual.
-    pub(crate) overlay: Option<&'a VirtualGraph>,
+    pub overlay: Option<&'a VirtualGraph>,
 }
 
-/// Runs `plan` on the simulator, dispatching on direction. Pull runs
-/// over a transpose view mirroring the forward representation (Theorem 3
-/// overlays included) — supplied via `pull_side` when the caller holds
-/// prepared views, built internally otherwise; auto interleaves both.
-pub(crate) fn run_sim_plan(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    pull_side: Option<PullSide<'_>>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    plan: &ExecutionPlan,
-) -> MonotoneOutput {
-    let cancel = &plan.cancel;
-    match plan.direction {
-        Direction::Push => run_monotone_cancellable(sim, rep, prog, source, &plan.push, cancel),
-        Direction::Pull => {
-            let options = PullOptions {
-                worklist: plan.push.worklist,
-                max_iterations: plan.push.max_iterations,
+/// The transpose-side view a pull step over `rep` gathers on: the
+/// prepared side when given, otherwise a transpose built into
+/// `rev_built` — mirrored by [`transpose_overlay`] (built into
+/// `rov_built`) for a virtual view, and by a mapper of the same `K` for
+/// on-the-fly mapping. A physical split passes through, for
+/// [`pull_step`] to reject.
+pub(crate) fn transpose_rep<'r>(
+    rep: &Representation<'r>,
+    prepared: Option<&PullSide<'r>>,
+    rev_built: &'r OnceCell<Csr>,
+    rov_built: &'r OnceCell<VirtualGraph>,
+) -> Representation<'r> {
+    let reverse = move || match prepared {
+        Some(ps) => ps.reverse,
+        None => rev_built.get_or_init(|| transpose(rep.graph())),
+    };
+    match rep {
+        Representation::Original(_) => Representation::Original(reverse()),
+        Representation::Virtual { overlay, .. } => {
+            let graph = reverse();
+            let overlay = match prepared.and_then(|ps| ps.overlay) {
+                Some(rov) => rov,
+                None => rov_built.get_or_init(|| transpose_overlay(graph, overlay)),
             };
-            match rep {
-                // Let the pull driver reject the split with its canonical
-                // message.
-                Representation::Physical(_) => {
-                    run_monotone_pull_cancellable(sim, rep, prog, source, &options, cancel)
-                }
-                Representation::Original(g) => {
-                    let rev_owned;
-                    let rev = match &pull_side {
-                        Some(ps) => ps.reverse,
-                        None => {
-                            rev_owned = transpose(g);
-                            &rev_owned
-                        }
-                    };
-                    run_monotone_pull_cancellable(
-                        sim,
-                        &Representation::Original(rev),
-                        prog,
-                        source,
-                        &options,
-                        cancel,
-                    )
-                }
-                Representation::Virtual { graph, overlay } => {
-                    let rev_owned;
-                    let rev = match &pull_side {
-                        Some(ps) => ps.reverse,
-                        None => {
-                            rev_owned = transpose(graph);
-                            &rev_owned
-                        }
-                    };
-                    let rov_owned;
-                    let rov = match &pull_side {
-                        Some(PullSide {
-                            overlay: Some(o), ..
-                        }) => *o,
-                        _ => {
-                            rov_owned = transpose_overlay(rev, overlay);
-                            &rov_owned
-                        }
-                    };
-                    run_monotone_pull_cancellable(
-                        sim,
-                        &Representation::Virtual {
-                            graph: rev,
-                            overlay: rov,
-                        },
-                        prog,
-                        source,
-                        &options,
-                        cancel,
-                    )
-                }
-                Representation::OnTheFly { graph, mapper } => {
-                    let rev = transpose(graph);
-                    let m = tigr_core::OnTheFlyMapper::new(&rev, mapper.k());
-                    run_monotone_pull_cancellable(
-                        sim,
-                        &Representation::OnTheFly {
-                            graph: &rev,
-                            mapper: m,
-                        },
-                        prog,
-                        source,
-                        &options,
-                        cancel,
-                    )
-                }
+            Representation::Virtual { graph, overlay }
+        }
+        Representation::OnTheFly { mapper, .. } => {
+            let graph = reverse();
+            Representation::OnTheFly {
+                graph,
+                mapper: OnTheFlyMapper::new(graph, mapper.k()),
             }
         }
-        Direction::Auto => run_monotone_auto(sim, rep, pull_side, prog, source, plan),
+        Representation::Physical(t) => Representation::Physical(t),
     }
 }
 
@@ -185,61 +129,101 @@ fn bottom_up_exact(prog: &MonotoneProgram, g: &Csr) -> bool {
     unit_distance && prog.combine == Combine::Min && prog.init == InitKind::SourceZero
 }
 
-/// The generalized direction-optimizing driver: worklist push iterations
-/// with Beamer's α/β density switch into gather (pull) iterations over
-/// the transpose, falling back to push as the frontier thins.
+/// Runs `prog` over `rep` on the simulator under `plan`: the one
+/// WarpSim monotone driver.
 ///
-/// Degrades to plain push when the hybrid has nothing to optimize or the
-/// theorems do not license a pull side: no worklist, BSP double
-/// buffering, physical splits, on-the-fly mapping, non-associative
-/// programs over virtual views, or `alpha <= 0`.
-pub(crate) fn run_monotone_auto(
+/// Each iteration stops the run when the worklist is empty or
+/// `plan.cancel` has fired (a cancelled run keeps the consistent
+/// monotone prefix of its last completed iteration), then picks a
+/// direction by [`ExecutionPlan::direction_rule`]:
+///
+/// * **push** scatters along out-edges — a worklist sweep over the
+///   active (virtual) nodes or a full sweep — reading the previous
+///   iteration's snapshot under [`SyncMode::Bsp`];
+/// * **pull** gathers along in-edges over the transpose side (see
+///   [`PullSide`]; built once on the first pull step when not given),
+///   each node issuing at most one atomic. With the worklist a gather
+///   folds only candidates from sources active last iteration, read
+///   off a dense bitmap; a forced pull with the worklist off gathers
+///   every in-edge;
+/// * **auto** takes a pull step while the frontier owns more than
+///   `1/alpha` of the out-edges not yet reached and more than
+///   `1/beta` of the nodes, and a push step otherwise.
+///
+/// Results are indexed by the forward representation's value slots.
+/// Callers validate the plan first ([`ExecutionPlan::validate`]).
+///
+/// # Example
+///
+/// ```
+/// use tigr_engine::{run_monotone, ExecutionPlan, MonotoneProgram, Representation};
+/// use tigr_graph::{CsrBuilder, NodeId};
+/// use tigr_sim::{GpuConfig, GpuSimulator};
+///
+/// let g = CsrBuilder::new(3)
+///     .weighted_edge(0, 1, 5)
+///     .weighted_edge(1, 2, 7)
+///     .build();
+/// let sim = GpuSimulator::new(GpuConfig::default());
+/// let out = run_monotone(
+///     &sim,
+///     &Representation::Original(&g),
+///     MonotoneProgram::SSSP,
+///     Some(NodeId::new(0)),
+///     &ExecutionPlan::default(),
+///     None,
+/// );
+/// assert_eq!(out.values, vec![0, 5, 12]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if the program needs a source and none is given, the source
+/// is out of range, or a pull step meets a physical split.
+pub fn run_monotone(
     sim: &GpuSimulator,
     rep: &Representation<'_>,
-    pull_side: Option<PullSide<'_>>,
     prog: MonotoneProgram,
     source: Option<NodeId>,
     plan: &ExecutionPlan,
+    pull_side: Option<PullSide<'_>>,
 ) -> MonotoneOutput {
-    let can_pull = match rep {
-        Representation::Original(_) => true,
-        // Theorem 3: split folds need an associative combine.
-        Representation::Virtual { .. } => prog.associative,
-        Representation::Physical(_) | Representation::OnTheFly { .. } => false,
-    };
-    if !plan.push.worklist || plan.push.sync == SyncMode::Bsp || !can_pull || plan.auto.alpha <= 0.0
-    {
-        return run_monotone_cancellable(sim, rep, prog, source, &plan.push, &plan.cancel);
-    }
-
+    let opts = &plan.push;
+    let rule = plan.direction_rule(rep, &prog);
     let g = rep.graph();
     let n = rep.num_value_slots();
-    let early_exit = bottom_up_exact(&prog, g);
+    // A gather consults its frontier per in-edge, so a forced pull
+    // keeps it as a dense bitmap.
+    let mode = match rule {
+        Direction::Pull => FrontierMode::Dense,
+        _ => opts.frontier,
+    };
+    let early_exit = rule == Direction::Auto && bottom_up_exact(&prog, g);
     let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
-    let mut directions = Vec::new();
-    let mut converged = false;
     let edges_touched = AtomicU64::new(0);
-    let next = FrontierBuilder::new(n);
-    let mut frontier =
-        Frontier::from_active(n, prog.initial_frontier(n, source), plan.push.frontier);
+    let next = opts.worklist.then(|| FrontierBuilder::new(n));
+    let mut frontier = opts
+        .worklist
+        .then(|| Frontier::from_active(n, prog.initial_frontier(n, source), mode));
+    let mut prev =
+        (rule == Direction::Push && opts.sync == SyncMode::Bsp).then(|| values.snapshot());
     // Out-edges not yet owned by any frontier: the denominator of the
     // density switch.
-    let mut remaining = g.num_edges() as u64;
     let out_edges = |nodes: &[u32]| -> u64 {
         nodes
             .iter()
             .map(|&v| g.out_degree(NodeId::new(v)) as u64)
             .sum()
     };
+    let mut remaining = g.num_edges() as u64;
+    let (rev_built, rov_built) = (OnceCell::new(), OnceCell::new());
+    let pull_rep = OnceCell::new();
 
-    // Transpose side, built on the first pull step unless supplied.
-    let mut rev_owned: Option<Csr> = None;
-    let mut rev_ov_owned: Option<VirtualGraph> = None;
-
-    let mut cancelled = false;
-    for _ in 0..plan.push.max_iterations {
-        if frontier.is_empty() {
+    let mut report = SimReport::new();
+    let mut directions = Vec::new();
+    let (mut converged, mut cancelled) = (false, false);
+    for _ in 0..opts.max_iterations {
+        if frontier.as_ref().is_some_and(Frontier::is_empty) {
             converged = true;
             break;
         }
@@ -247,71 +231,72 @@ pub(crate) fn run_monotone_auto(
             cancelled = true;
             break;
         }
-        let frontier_edges = out_edges(frontier.nodes());
-        let pull_now = frontier_edges as f64 * plan.auto.alpha > remaining as f64
-            && frontier.len() > n.div_ceil(plan.auto.beta.max(1.0) as usize).max(1);
+        let dir = match rule {
+            Direction::Auto => {
+                let f = frontier.as_ref().expect("auto runs a worklist");
+                if out_edges(f.nodes()) as f64 * plan.auto.alpha > remaining as f64
+                    && f.len() > n.div_ceil(plan.auto.beta.max(1.0) as usize).max(1)
+                {
+                    Direction::Pull
+                } else {
+                    Direction::Push
+                }
+            }
+            forced => forced,
+        };
 
         let changed = AtomicBool::new(false);
-        let (threads, metrics) = if pull_now {
-            let reverse: &Csr = match &pull_side {
-                Some(ps) => ps.reverse,
-                None => rev_owned.get_or_insert_with(|| transpose(g)),
-            };
-            let pull_rep = match rep {
-                Representation::Virtual { overlay, .. } => {
-                    let rov: &VirtualGraph = match &pull_side {
-                        Some(PullSide {
-                            overlay: Some(o), ..
-                        }) => o,
-                        _ => {
-                            rev_ov_owned.get_or_insert_with(|| transpose_overlay(reverse, overlay))
-                        }
-                    };
-                    Representation::Virtual {
-                        graph: reverse,
-                        overlay: rov,
-                    }
-                }
-                _ => Representation::Original(reverse),
-            };
+        let (threads, metrics) = if dir == Direction::Pull {
+            let pull_rep = pull_rep
+                .get_or_init(|| transpose_rep(rep, pull_side.as_ref(), &rev_built, &rov_built));
             let ctx = GatherCtx {
                 prog,
                 values: &values,
-                frontier: Some(&frontier),
-                next: Some(&next),
+                frontier: frontier.as_ref(),
+                next: next.as_ref(),
                 changed: &changed,
                 edges_touched: &edges_touched,
                 early_exit,
             };
-            directions.push(Direction::Pull);
-            (pull_rep.full_threads(), pull_step(sim, &pull_rep, &ctx))
+            (pull_rep.full_threads(), pull_step(sim, pull_rep, &ctx))
         } else {
             let ctx = IterCtx {
                 graph: g,
                 prog,
                 values: &values,
-                prev: None,
+                prev: prev.as_deref(),
                 changed: &changed,
-                next_frontier: Some(&next),
+                next_frontier: next.as_ref(),
                 edges_touched: &edges_touched,
             };
-            let threads = match frontier.rep() {
-                FrontierRep::Sparse => frontier.len(),
-                FrontierRep::Dense => rep.full_threads(),
-            };
-            directions.push(Direction::Push);
-            (threads, worklist_sweep(sim, rep, &ctx, &frontier))
+            match &frontier {
+                Some(f) if f.rep() == FrontierRep::Sparse => {
+                    (f.len(), worklist_sweep(sim, rep, &ctx, f))
+                }
+                Some(f) => (rep.full_threads(), worklist_sweep(sim, rep, &ctx, f)),
+                None => (rep.full_threads(), full_sweep(sim, rep, &ctx)),
+            }
         };
         report.push(threads, metrics);
+        directions.push(dir);
 
-        frontier = next.take(plan.push.frontier);
-        remaining = remaining.saturating_sub(out_edges(frontier.nodes()));
-        if plan.push.sort_frontier_by_degree {
-            frontier.sort_by_degree(g);
+        if let Some(next) = &next {
+            let f = frontier.insert(next.take(mode));
+            if rule == Direction::Auto {
+                remaining = remaining.saturating_sub(out_edges(f.nodes()));
+            }
+            if opts.sort_frontier_by_degree {
+                // Batch similar degrees into the same warps; ties broken
+                // by id for determinism.
+                f.sort_by_degree(g);
+            }
         }
-        if !changed.load(Ordering::Relaxed) {
+        if !changed.into_inner() {
             converged = true;
             break;
+        }
+        if let Some(prev) = &mut prev {
+            *prev = values.snapshot();
         }
     }
 
@@ -371,7 +356,7 @@ impl Backend for WarpSim {
         plan: &ExecutionPlan,
     ) -> Result<MonotoneOutput, EngineError> {
         plan.validate(rep, &prog)?;
-        Ok(run_sim_plan(&self.sim, rep, None, prog, source, plan))
+        Ok(run_monotone(&self.sim, rep, prog, source, plan, None))
     }
 }
 
@@ -454,13 +439,10 @@ fn sequential_pull(
     let rev = transpose(g);
     let values = AtomicValues::from_values(prog.initial_values(n, source));
     let next = FrontierBuilder::new(n);
-    let mut frontier: Option<Frontier> = plan.push.worklist.then(|| {
-        Frontier::from_active(
-            n,
-            prog.initial_frontier(n, source),
-            crate::frontier::FrontierMode::Dense,
-        )
-    });
+    let mut frontier: Option<Frontier> = plan
+        .push
+        .worklist
+        .then(|| Frontier::from_active(n, prog.initial_frontier(n, source), FrontierMode::Dense));
     let mut edges_touched = 0u64;
     let mut iterations = 0usize;
     let mut converged = false;
@@ -497,7 +479,7 @@ fn sequential_pull(
             );
         }
         if frontier.is_some() {
-            frontier = Some(next.take(crate::frontier::FrontierMode::Dense));
+            frontier = Some(next.take(FrontierMode::Dense));
         }
         if !changed {
             converged = true;
@@ -517,7 +499,6 @@ fn sequential_pull(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::FrontierMode;
     use crate::push::PushOptions;
     use tigr_graph::generators::{barabasi_albert, with_uniform_weights, BarabasiAlbertConfig};
     use tigr_graph::properties::dijkstra;
@@ -657,8 +638,8 @@ mod tests {
         let g = fixture();
         let src = NodeId::new(2);
         let expect = dijkstra(&g, src);
-        // NOTE: the pull plan takes the *forward* representation and
-        // transposes internally — unlike run_monotone_pull's raw API.
+        // The pull plan takes the *forward* representation and, given
+        // no prepared pull side, transposes internally.
         let out = WarpSim::new(GpuConfig::default())
             .run_monotone(
                 &Representation::Original(&g),

@@ -904,25 +904,9 @@ pub fn run_batch_cpu_pool(
     let threads = plan.cpu.threads.max(1);
     let worklist = plan.push.worklist;
 
-    // Direction capabilities, mirroring the solo auto driver: pull
-    // needs the whole-node gather (Original) or Theorem 3 associativity
-    // over virtual views; physical splits and on-the-fly mapping have
-    // no CPU gather side.
-    let can_pull = match rep {
-        Representation::Original(_) => true,
-        Representation::Virtual { .. } => prog.associative,
-        Representation::Physical(_) | Representation::OnTheFly { .. } => false,
-    };
-    let forced = match plan.direction {
-        // A forced pull was licensed by plan validation.
-        Direction::Pull => Direction::Pull,
-        Direction::Auto
-            if worklist && plan.push.sync != SyncMode::Bsp && can_pull && plan.auto.alpha > 0.0 =>
-        {
-            Direction::Auto
-        }
-        _ => Direction::Push,
-    };
+    // The simulator driver's direction rule: physical splits and
+    // on-the-fly mapping have no CPU gather side either.
+    let forced = plan.direction_rule(rep, &prog);
 
     // Virtual-node scheduling: the representation's own overlay, or
     // one built for the virtual schedule over a flat representation.
@@ -1549,14 +1533,14 @@ mod tests {
 
     #[test]
     fn view_fixpoints_match_the_push_engine() {
-        use crate::push::run_monotone;
+        use crate::backend::run_monotone;
         use tigr_graph::generators::{rmat, RmatConfig};
         use tigr_sim::{GpuConfig, GpuSimulator};
 
         let unit = rmat(&RmatConfig::graph500(8, 6), 97);
         let weighted = with_uniform_weights(&unit, 1, 32, 3);
         let sim = GpuSimulator::new(GpuConfig::default());
-        let opts = PushOptions::default();
+        let plan = ExecutionPlan::default();
         let src = Some(NodeId::new(5));
 
         for (g, prog, source) in [
@@ -1566,7 +1550,14 @@ mod tests {
             (&weighted, MonotoneProgram::SSSP, src),
             (&weighted, MonotoneProgram::SSWP, src),
         ] {
-            let expect = run_monotone(&sim, &Representation::Original(g), prog, source, &opts);
+            let expect = run_monotone(
+                &sim,
+                &Representation::Original(g),
+                prog,
+                source,
+                &plan,
+                None,
+            );
             let got = run_monotone_view(g, prog, source);
             assert_eq!(got.values, expect.values, "{}", prog.name);
             assert!(got.iterations > 0);

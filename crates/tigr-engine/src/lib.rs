@@ -1,14 +1,16 @@
 //! Vertex-centric graph-processing engine over the GPU simulator.
 //!
 //! This crate is the paper's "lightweight GPU graph processing engine"
-//! (§5): a push-based BSP driver with active-frontier worklist
+//! (§5): one monotone driver ([`run_monotone`]) whose iterations push
+//! along out-edges, pull along in-edges, or pick per iteration by a
+//! density switch ([`Direction`]), with active-frontier worklist
 //! scheduling (dense bitmap / sparse compacted list, density-switched —
 //! see [`frontier`]) and synchronization-relaxation optimizations, able
 //! to schedule over four representations
 //! — the original CSR, a physically split graph (`Tigr-UDT`), a virtual
 //! node array (`Tigr-V` / `Tigr-V+`), and dynamic on-the-fly mapping —
-//! plus the six analytics of the evaluation: BFS, CC, SSSP, SSWP, BC,
-//! and PR.
+//! plus the six analytics of the evaluation: BFS, CC, SSSP and SSWP as
+//! [`MonotoneProgram`]s, and BC and PR with their own drivers.
 //!
 //! Everything executes for real on host memory while the
 //! [`tigr_sim`] simulator accounts warp-lockstep timing, coalescing, and
@@ -60,7 +62,7 @@ pub use algorithms::bc::{self, BcOutput};
 pub use algorithms::dobfs::{self, DoBfsOptions, DoBfsOutput};
 pub use algorithms::pr::{self, PrMode, PrOptions, PrOutput};
 pub use algorithms::{bfs, cc, sssp, sswp, Analytic};
-pub use backend::{Backend, CpuPool, Sequential, WarpSim};
+pub use backend::{run_monotone, Backend, CpuPool, PullSide, Sequential, WarpSim};
 pub use batch::{
     run_batch_cpu_pool, run_batch_sequential_push, run_monotone_view, BatchArena, BatchLane,
     BatchOutput, BatchProgram, ViewOutput,
@@ -80,8 +82,7 @@ pub use operators::{
 };
 pub use plan::{AutoOptions, BackendKind, Direction, ExecutionPlan, PlanError};
 pub use program::{EdgeOp, InitKind, MonotoneProgram};
-pub use pull::{run_monotone_pull, run_monotone_pull_cancellable, PullOptions};
-pub use push::{run_monotone, run_monotone_cancellable, MonotoneOutput, PushOptions, SyncMode};
+pub use push::{MonotoneOutput, PushOptions, SyncMode};
 pub use representation::Representation;
 pub use runner::{Engine, EngineError};
 pub use state::{AtomicFloats, AtomicValues, Combine};

@@ -26,7 +26,7 @@ use tigr_core::CancelToken;
 use crate::cpu_parallel::{CpuOptions, CpuSchedule};
 use crate::operators::Pipeline;
 use crate::program::MonotoneProgram;
-use crate::push::PushOptions;
+use crate::push::{PushOptions, SyncMode};
 use crate::representation::Representation;
 
 use tigr_graph::NodeId;
@@ -154,6 +154,39 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
+    /// The direction rule a monotone driver runs `prog` over `rep`
+    /// with: `Push` or `Pull` when every iteration goes one way, `Auto`
+    /// when each iteration picks by Beamer's α/β density switch. Auto
+    /// degrades to push where the hybrid has nothing to optimize or no
+    /// theorem licenses a gather side: no worklist, BSP double
+    /// buffering, physical splits, on-the-fly mapping, non-associative
+    /// programs over virtual views (Theorem 3), or `alpha <= 0`. A
+    /// forced pull is taken as given; [`ExecutionPlan::validate`]
+    /// licenses it.
+    pub(crate) fn direction_rule(
+        &self,
+        rep: &Representation<'_>,
+        prog: &MonotoneProgram,
+    ) -> Direction {
+        let can_pull = match rep {
+            Representation::Original(_) => true,
+            Representation::Virtual { .. } => prog.associative,
+            Representation::Physical(_) | Representation::OnTheFly { .. } => false,
+        };
+        match self.direction {
+            Direction::Pull => Direction::Pull,
+            Direction::Auto
+                if self.push.worklist
+                    && self.push.sync != SyncMode::Bsp
+                    && can_pull
+                    && self.auto.alpha > 0.0 =>
+            {
+                Direction::Auto
+            }
+            _ => Direction::Push,
+        }
+    }
+
     /// Checks the plan against `rep` and `prog` per the paper's
     /// theorems. Called by every backend before launching; exposed so
     /// callers can validate eagerly.

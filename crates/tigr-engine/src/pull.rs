@@ -1,61 +1,41 @@
-//! Pull-based monotone driver (§2.1 footnote 3, Theorem 3).
+//! Pull (gather) steps of the simulator driver (§2.1 footnote 3,
+//! Theorem 3).
 //!
 //! The pull scheme gathers values along *incoming* edges: each node folds
-//! candidates from its in-neighbors into its own slot. The engine runs it
-//! over the **transpose** CSR, optionally with a virtual overlay built on
-//! the transpose — in which case each virtual node folds a *subset* of
-//! the in-edges and the partial results combine at the shared physical
-//! slot. Theorem 3 guarantees correctness exactly when the fold is
-//! associative, which every [`MonotoneProgram`] combine (min/max) is;
-//! updates use atomics as §4.2 requires.
+//! candidates from its in-neighbors into its own slot.
+//! [`crate::backend::run_monotone`] runs these steps over the
+//! **transpose** CSR, optionally with a virtual overlay built on the
+//! transpose — in which case each virtual node folds a *subset* of the
+//! in-edges and the partial results combine at the shared physical slot.
+//! Theorem 3 guarantees correctness exactly when the fold is associative,
+//! which every [`MonotoneProgram`] combine (min/max) is; updates use
+//! atomics as §4.2 requires.
 //!
 //! Compared to push, pull issues at most **one atomic per (virtual)
 //! node** per iteration instead of one per improving edge — the property
 //! that makes gather-style frameworks strong on all-active workloads.
+//! Every (virtual) node is scheduled each iteration — a gathering node
+//! cannot be compacted away without knowing its inputs changed — but
+//! with the worklist each gather folds only candidates from sources
+//! active in the previous iteration. Monotone programs make this sound:
+//! a candidate from a source that did not change this round was already
+//! offered the round after that source last improved.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tigr_core::CancelToken;
 use tigr_graph::NodeId;
-use tigr_sim::{GpuSimulator, KernelMetrics, SimReport};
+use tigr_sim::{GpuSimulator, KernelMetrics};
 
 use crate::addr::{frontier_bit_addr, row_ptr_addr, vnode_addr, FLAG_ADDR};
-use crate::frontier::{Frontier, FrontierBuilder, FrontierMode};
+use crate::frontier::{Frontier, FrontierBuilder};
 use crate::kernel::{
     csr_edges, pull_gather, walk_segments, AccessMirror, GatherFilter, LaneMirror,
 };
-use crate::plan::Direction;
 use crate::program::MonotoneProgram;
-use crate::push::MonotoneOutput;
 use crate::representation::Representation;
 use crate::state::AtomicValues;
 
-/// Options of a pull run.
-#[derive(Clone, Copy, Debug)]
-pub struct PullOptions {
-    /// Fold only candidates from *active* sources (nodes whose value
-    /// changed last iteration), tracked in a dense bitmap each gather
-    /// consults per in-edge. Every node is still scheduled every
-    /// iteration — pull cannot compact its launch the way push does —
-    /// but inactive edges skip the source-value load and candidate fold,
-    /// which is where all-active gather engines burn their bandwidth.
-    pub worklist: bool,
-    /// Safety cap on iterations.
-    pub max_iterations: usize,
-}
-
-impl Default for PullOptions {
-    fn default() -> Self {
-        PullOptions {
-            worklist: false,
-            max_iterations: 100_000,
-        }
-    }
-}
-
-/// Per-iteration state of a gather sweep, shared between the standalone
-/// pull driver below and the `Auto` direction driver in
-/// [`crate::backend`].
+/// Per-iteration state of a gather sweep.
 pub(crate) struct GatherCtx<'a> {
     pub(crate) prog: MonotoneProgram,
     pub(crate) values: &'a AtomicValues,
@@ -139,116 +119,12 @@ pub(crate) fn pull_step(
     }
 }
 
-/// Runs `prog` in pull mode over `rep`, which must wrap the **transpose**
-/// of the graph being analyzed (edges lead from a node to its
-/// in-neighbors). Results are indexed by the original node ids, which
-/// transposition preserves.
-///
-/// Every (virtual) node is scheduled each iteration — a gathering node
-/// cannot be compacted away without knowing its inputs changed — but
-/// with [`PullOptions::worklist`] each gather folds only candidates from
-/// sources active in the previous iteration, consulting a dense frontier
-/// bitmap per in-edge. Monotone programs make this sound: a candidate
-/// from a source that did not change this round was already offered the
-/// round after that source last improved.
-///
-/// # Panics
-///
-/// Panics if the program needs a source and none is given, if the source
-/// is out of range, or if `rep` is a physical transformation (pull over
-/// split *out*-edge families mixes up in-edge ownership; use the virtual
-/// overlay instead, as §4.2 prescribes).
-pub fn run_monotone_pull(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &PullOptions,
-) -> MonotoneOutput {
-    run_monotone_pull_cancellable(sim, rep, prog, source, options, &CancelToken::never())
-}
-
-/// [`run_monotone_pull`] with a cooperative cancellation hook polled
-/// once per iteration before the gather launches (see
-/// [`crate::push::run_monotone_cancellable`] for the contract).
-///
-/// # Panics
-///
-/// See [`run_monotone_pull`].
-pub fn run_monotone_pull_cancellable(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &PullOptions,
-    cancel: &CancelToken,
-) -> MonotoneOutput {
-    assert!(
-        !matches!(rep, Representation::Physical(_)),
-        "pull-based processing over a physically split graph is not meaningful; \
-         Theorem 3 covers the virtual transformation"
-    );
-    let n = rep.num_value_slots();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
-    let mut converged = false;
-    let edges_touched = AtomicU64::new(0);
-
-    // `n` here counts value slots = original nodes (physical reps are
-    // rejected), so source ids index the bitmap directly.
-    let next = options.worklist.then(|| FrontierBuilder::new(n));
-    let mut frontier: Option<Frontier> = options
-        .worklist
-        .then(|| Frontier::from_active(n, prog.initial_frontier(n, source), FrontierMode::Dense));
-
-    let mut cancelled = false;
-    for _ in 0..options.max_iterations {
-        if let Some(f) = &frontier {
-            if f.is_empty() {
-                converged = true;
-                break;
-            }
-        }
-        if cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let changed = AtomicBool::new(false);
-        let ctx = GatherCtx {
-            prog,
-            values: &values,
-            frontier: frontier.as_ref(),
-            next: next.as_ref(),
-            changed: &changed,
-            edges_touched: &edges_touched,
-            early_exit: false,
-        };
-        let metrics = pull_step(sim, rep, &ctx);
-        report.push(rep.full_threads(), metrics);
-
-        if let Some(next) = &next {
-            frontier = Some(next.take(FrontierMode::Dense));
-        }
-        if !changed.load(Ordering::Relaxed) {
-            converged = true;
-            break;
-        }
-    }
-
-    let directions = vec![Direction::Pull; report.num_iterations()];
-    MonotoneOutput {
-        values: values.snapshot(),
-        report,
-        converged,
-        edges_touched: edges_touched.into_inner(),
-        directions,
-        cancelled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{run_monotone, PullSide};
+    use crate::plan::{Direction, ExecutionPlan};
+    use crate::push::{MonotoneOutput, PushOptions};
     use tigr_core::VirtualGraph;
     use tigr_graph::generators::{rmat, with_uniform_weights, RmatConfig};
     use tigr_graph::properties::{dijkstra, widest_path};
@@ -261,21 +137,51 @@ mod tests {
         (g, rev)
     }
 
+    /// A forced pull over `rep`, gathering over `rev` (with `rov` for a
+    /// virtual `rep`).
+    fn run_pull(
+        sim: &GpuSimulator,
+        rep: &Representation<'_>,
+        rev: &tigr_graph::Csr,
+        rov: Option<&VirtualGraph>,
+        prog: MonotoneProgram,
+        source: Option<NodeId>,
+        worklist: bool,
+    ) -> MonotoneOutput {
+        let plan = ExecutionPlan {
+            direction: Direction::Pull,
+            push: PushOptions {
+                worklist,
+                ..PushOptions::default()
+            },
+            ..ExecutionPlan::default()
+        };
+        let side = PullSide {
+            reverse: rev,
+            overlay: rov,
+        };
+        run_monotone(sim, rep, prog, source, &plan, Some(side))
+    }
+
     #[test]
     fn pull_sssp_matches_dijkstra() {
         let (g, rev) = fixture();
         let src = NodeId::new(0);
         let expect = dijkstra(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
-        let out = run_monotone_pull(
+        let rep = Representation::Original(&g);
+        let out = run_pull(
             &sim,
-            &Representation::Original(&rev),
+            &rep,
+            &rev,
+            None,
             MonotoneProgram::SSSP,
             Some(src),
-            &PullOptions::default(),
+            false,
         );
         assert!(out.converged);
         assert_eq!(out.values, expect);
+        assert!(out.directions.iter().all(|&d| d == Direction::Pull));
     }
 
     #[test]
@@ -286,16 +192,25 @@ mod tests {
         let src = NodeId::new(0);
         let expect = dijkstra(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
-        for overlay in [VirtualGraph::new(&rev, 4), VirtualGraph::coalesced(&rev, 4)] {
-            let out = run_monotone_pull(
+        for (fwd, overlay) in [
+            (VirtualGraph::new(&g, 4), VirtualGraph::new(&rev, 4)),
+            (
+                VirtualGraph::coalesced(&g, 4),
+                VirtualGraph::coalesced(&rev, 4),
+            ),
+        ] {
+            let rep = Representation::Virtual {
+                graph: &g,
+                overlay: &fwd,
+            };
+            let out = run_pull(
                 &sim,
-                &Representation::Virtual {
-                    graph: &rev,
-                    overlay: &overlay,
-                },
+                &rep,
+                &rev,
+                Some(&overlay),
                 MonotoneProgram::SSSP,
                 Some(src),
-                &PullOptions::default(),
+                false,
             );
             assert_eq!(out.values, expect, "coalesced={}", overlay.is_coalesced());
         }
@@ -307,12 +222,15 @@ mod tests {
         let src = NodeId::new(2);
         let expect = widest_path(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
-        let out = run_monotone_pull(
+        let rep = Representation::Original(&g);
+        let out = run_pull(
             &sim,
-            &Representation::Original(&rev),
+            &rep,
+            &rev,
+            None,
             MonotoneProgram::SSWP,
             Some(src),
-            &PullOptions::default(),
+            false,
         );
         assert_eq!(out.values, expect);
     }
@@ -321,12 +239,15 @@ mod tests {
     fn pull_uses_at_most_one_atomic_per_node_per_iteration() {
         let (g, rev) = fixture();
         let sim = GpuSimulator::new(GpuConfig::default());
-        let pull = run_monotone_pull(
+        let rep = Representation::Original(&g);
+        let pull = run_pull(
             &sim,
-            &Representation::Original(&rev),
+            &rep,
+            &rev,
+            None,
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
-            &PullOptions::default(),
+            false,
         );
         let total = pull.report.total();
         let bound = (g.num_nodes() * pull.report.num_iterations()) as u64;
@@ -346,13 +267,8 @@ mod tests {
         let g = b.build();
         let rev = transpose(&g); // symmetric, so identical topology
         let sim = GpuSimulator::new(GpuConfig::tiny());
-        let out = run_monotone_pull(
-            &sim,
-            &Representation::Original(&rev),
-            MonotoneProgram::CC,
-            None,
-            &PullOptions::default(),
-        );
+        let rep = Representation::Original(&g);
+        let out = run_pull(&sim, &rep, &rev, None, MonotoneProgram::CC, None, false);
         assert_eq!(out.values, tigr_graph::properties::connected_components(&g));
     }
 
@@ -362,16 +278,16 @@ mod tests {
         let src = NodeId::new(0);
         let expect = dijkstra(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
+        let rep = Representation::Original(&g);
         let run = |worklist: bool| {
-            run_monotone_pull(
+            run_pull(
                 &sim,
-                &Representation::Original(&rev),
+                &rep,
+                &rev,
+                None,
                 MonotoneProgram::SSSP,
                 Some(src),
-                &PullOptions {
-                    worklist,
-                    max_iterations: 100_000,
-                },
+                worklist,
             )
         };
         let full = run(false);
@@ -393,19 +309,20 @@ mod tests {
         let src = NodeId::new(0);
         let expect = dijkstra(&g, src);
         let sim = GpuSimulator::new(GpuConfig::default());
+        let fwd = VirtualGraph::coalesced(&g, 4);
         let overlay = VirtualGraph::coalesced(&rev, 4);
-        let out = run_monotone_pull(
+        let rep = Representation::Virtual {
+            graph: &g,
+            overlay: &fwd,
+        };
+        let out = run_pull(
             &sim,
-            &Representation::Virtual {
-                graph: &rev,
-                overlay: &overlay,
-            },
+            &rep,
+            &rev,
+            Some(&overlay),
             MonotoneProgram::SSSP,
             Some(src),
-            &PullOptions {
-                worklist: true,
-                max_iterations: 100_000,
-            },
+            true,
         );
         assert!(out.converged);
         assert_eq!(out.values, expect);
@@ -414,15 +331,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "pull-based processing over a physically split graph")]
     fn physical_representation_rejected() {
-        let (g, _) = fixture();
+        let (g, rev) = fixture();
         let t = tigr_core::udt_transform(&g, 4, tigr_core::DumbWeight::Zero);
         let sim = GpuSimulator::new(GpuConfig::tiny());
-        let _ = run_monotone_pull(
+        let _ = run_pull(
             &sim,
             &Representation::Physical(&t),
+            &rev,
+            None,
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
-            &PullOptions::default(),
+            false,
         );
     }
 }

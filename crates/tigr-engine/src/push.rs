@@ -1,7 +1,10 @@
-//! Push-based BSP iteration driver (Figure 2, Algorithm 2, Algorithm 3).
+//! Push (scatter) sweeps of the simulator driver (Figure 2, Algorithm 2,
+//! Algorithm 3), with the options and output every monotone driver
+//! shares.
 //!
-//! The driver runs a [`MonotoneProgram`] over any [`Representation`] on
-//! the simulated GPU, with the two engine optimizations of §5:
+//! [`crate::backend::run_monotone`] launches these sweeps over any
+//! [`Representation`] on the simulated GPU, with the two engine
+//! optimizations of §5:
 //!
 //! * **worklist** — only active nodes are processed per iteration;
 //! * **synchronization relaxation** — values written in the current
@@ -12,7 +15,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tigr_core::{CancelToken, EdgeCursor};
+use tigr_core::EdgeCursor;
 use tigr_graph::{Csr, NodeId};
 use tigr_sim::{GpuSimulator, KernelMetrics, Lane, SimReport};
 
@@ -36,7 +39,7 @@ pub enum SyncMode {
     Bsp,
 }
 
-/// Options of a push run.
+/// Options of a monotone run: worklist, frontier, sync and iteration cap.
 #[derive(Clone, Copy, Debug)]
 pub struct PushOptions {
     /// Track and process only active nodes (§5 "worklist").
@@ -70,7 +73,7 @@ impl Default for PushOptions {
     }
 }
 
-/// Result of a monotone push run.
+/// Result of a monotone run.
 #[derive(Clone, Debug)]
 pub struct MonotoneOutput {
     /// Final per-slot values (length = `rep.num_value_slots()`). For
@@ -85,8 +88,8 @@ pub struct MonotoneOutput {
     /// — the work-efficiency metric frontier scheduling reduces.
     pub edges_touched: u64,
     /// Direction each iteration ran in (same length as the report's
-    /// iterations). All `Push` here; the `Auto` plan driver mixes pull
-    /// iterations in.
+    /// iterations on the simulator): all `Push` or all `Pull` under a
+    /// forced direction, mixed under `Auto`.
     pub directions: Vec<Direction>,
     /// `true` if a [`CancelToken`] fired at an iteration boundary before
     /// the run converged. The values then hold the consistent monotone
@@ -281,114 +284,6 @@ fn sweep_csr(sim: &GpuSimulator, g: &Csr, ctx: &IterCtx<'_>, frontier: &Frontier
     }
 }
 
-/// Runs `prog` over `rep` to convergence.
-///
-/// # Panics
-///
-/// Panics if the program needs a source and none is given, or the source
-/// is out of range for the representation's value slots.
-pub fn run_monotone(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &PushOptions,
-) -> MonotoneOutput {
-    run_monotone_cancellable(sim, rep, prog, source, options, &CancelToken::never())
-}
-
-/// [`run_monotone`] with a cooperative cancellation hook: `cancel` is
-/// polled once per BSP iteration, before the sweep launches, so a fired
-/// token stops the run at the last completed iteration — the values are
-/// the consistent monotone prefix reached so far.
-///
-/// # Panics
-///
-/// See [`run_monotone`].
-pub fn run_monotone_cancellable(
-    sim: &GpuSimulator,
-    rep: &Representation<'_>,
-    prog: MonotoneProgram,
-    source: Option<NodeId>,
-    options: &PushOptions,
-    cancel: &CancelToken,
-) -> MonotoneOutput {
-    let n = rep.num_value_slots();
-    let values = AtomicValues::from_values(prog.initial_values(n, source));
-    let mut report = SimReport::new();
-    let mut converged = false;
-    let edges_touched = AtomicU64::new(0);
-
-    let next = options.worklist.then(|| FrontierBuilder::new(n));
-    let mut frontier = Frontier::from_active(n, prog.initial_frontier(n, source), options.frontier);
-    let mut prev_snapshot: Option<Vec<u32>> = match options.sync {
-        SyncMode::Bsp => Some(values.snapshot()),
-        SyncMode::Relaxed => None,
-    };
-
-    let mut cancelled = false;
-    for _ in 0..options.max_iterations {
-        if options.worklist && frontier.is_empty() {
-            converged = true;
-            break;
-        }
-        if cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let changed = AtomicBool::new(false);
-        let ctx = IterCtx {
-            graph: rep.graph(),
-            prog,
-            values: &values,
-            prev: prev_snapshot.as_deref(),
-            changed: &changed,
-            next_frontier: next.as_ref(),
-            edges_touched: &edges_touched,
-        };
-        let threads = if options.worklist {
-            match frontier.rep() {
-                FrontierRep::Sparse => frontier.len(),
-                FrontierRep::Dense => rep.full_threads(),
-            }
-        } else {
-            rep.full_threads()
-        };
-        let metrics = if options.worklist {
-            worklist_sweep(sim, rep, &ctx, &frontier)
-        } else {
-            full_sweep(sim, rep, &ctx)
-        };
-        report.push(threads, metrics);
-
-        if let Some(next) = &next {
-            frontier = next.take(options.frontier);
-            if options.sort_frontier_by_degree {
-                // Batch similar degrees into the same warps; ties broken
-                // by id for determinism.
-                frontier.sort_by_degree(rep.graph());
-            }
-        }
-        if !changed.load(Ordering::Relaxed) {
-            converged = true;
-            break;
-        }
-        if let Some(prev) = &mut prev_snapshot {
-            *prev = values.snapshot();
-        }
-    }
-
-    let directions = vec![Direction::Push; report.num_iterations()];
-    MonotoneOutput {
-        values: values.snapshot(),
-        report,
-        converged,
-        edges_touched: edges_touched.into_inner(),
-        directions,
-        cancelled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,6 +308,21 @@ mod tests {
         GpuSimulator::new(GpuConfig::default())
     }
 
+    /// A push-direction run of the simulator driver under `push`.
+    fn run_push(
+        sim: &GpuSimulator,
+        rep: &Representation<'_>,
+        prog: MonotoneProgram,
+        source: Option<NodeId>,
+        push: &PushOptions,
+    ) -> MonotoneOutput {
+        let plan = crate::plan::ExecutionPlan {
+            push: *push,
+            ..Default::default()
+        };
+        crate::backend::run_monotone(sim, rep, prog, source, &plan, None)
+    }
+
     fn opts(worklist: bool, sync: SyncMode) -> PushOptions {
         PushOptions {
             worklist,
@@ -429,7 +339,7 @@ mod tests {
         let expect = dijkstra(&g, NodeId::new(0));
         for worklist in [false, true] {
             for sync in [SyncMode::Relaxed, SyncMode::Bsp] {
-                let out = run_monotone(
+                let out = run_push(
                     &sim(),
                     &Representation::Original(&g),
                     MonotoneProgram::SSSP,
@@ -448,7 +358,7 @@ mod tests {
         let expect = dijkstra(&g, NodeId::new(0));
         for overlay in [VirtualGraph::new(&g, 4), VirtualGraph::coalesced(&g, 4)] {
             for worklist in [false, true] {
-                let out = run_monotone(
+                let out = run_push(
                     &sim(),
                     &Representation::Virtual {
                         graph: &g,
@@ -470,7 +380,7 @@ mod tests {
         let expect = dijkstra(&g, NodeId::new(0));
         let t = udt_transform(&g, 4, DumbWeight::Zero);
         assert!(t.num_split_nodes() > 0);
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::Physical(&t),
             MonotoneProgram::SSSP,
@@ -485,7 +395,7 @@ mod tests {
     fn sssp_on_the_fly_matches_dijkstra() {
         let g = fixture();
         let expect = dijkstra(&g, NodeId::new(0));
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::OnTheFly {
                 graph: &g,
@@ -509,7 +419,7 @@ mod tests {
         let overlay = VirtualGraph::new(&g, 3);
         let o = opts(false, SyncMode::Bsp);
         let run = |rep: &Representation<'_>| {
-            run_monotone(&sim(), rep, MonotoneProgram::SSSP, Some(NodeId::new(0)), &o)
+            run_push(&sim(), rep, MonotoneProgram::SSSP, Some(NodeId::new(0)), &o)
                 .report
                 .num_iterations()
         };
@@ -531,14 +441,14 @@ mod tests {
         let g = fixture();
         let overlay = VirtualGraph::new(&g, 4);
         let o = opts(false, SyncMode::Bsp);
-        let orig = run_monotone(
+        let orig = run_push(
             &sim(),
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
             &o,
         );
-        let virt = run_monotone(
+        let virt = run_push(
             &sim(),
             &Representation::Virtual {
                 graph: &g,
@@ -561,14 +471,14 @@ mod tests {
         let g = fixture();
         let o_full = opts(false, SyncMode::Relaxed);
         let o_wl = opts(true, SyncMode::Relaxed);
-        let full = run_monotone(
+        let full = run_push(
             &sim(),
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(NodeId::new(0)),
             &o_full,
         );
-        let wl = run_monotone(
+        let wl = run_push(
             &sim(),
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
@@ -587,7 +497,7 @@ mod tests {
     fn cc_labels_match_components() {
         let g = fixture(); // symmetric -> weak components meaningful
         let expect = tigr_graph::properties::connected_components(&g);
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::Original(&g),
             MonotoneProgram::CC,
@@ -602,7 +512,7 @@ mod tests {
         let g = fixture();
         let expect = tigr_graph::properties::widest_path(&g, NodeId::new(0));
         let overlay = VirtualGraph::coalesced(&g, 4);
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::Virtual {
                 graph: &g,
@@ -624,7 +534,7 @@ mod tests {
             .collect();
         // BFS ignores weights: run on the unweighted topology.
         let unweighted = g.without_weights();
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::Original(&unweighted),
             MonotoneProgram::BFS,
@@ -642,7 +552,7 @@ mod tests {
         let g = fixture();
         let src = NodeId::new(0);
         let run = |sort: bool| {
-            run_monotone(
+            run_push(
                 &sim(),
                 &Representation::Original(&g),
                 MonotoneProgram::SSSP,
@@ -672,7 +582,7 @@ mod tests {
     #[test]
     fn max_iterations_caps_run() {
         let g = fixture();
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
@@ -694,7 +604,7 @@ mod tests {
         let g = fixture();
         let src = NodeId::new(0);
         let run = |worklist: bool, mode: FrontierMode| {
-            run_monotone(
+            run_push(
                 &sim(),
                 &Representation::Original(&g),
                 MonotoneProgram::SSSP,
@@ -731,7 +641,7 @@ mod tests {
         let expect = dijkstra(&g, src);
         for overlay in [VirtualGraph::new(&g, 4), VirtualGraph::coalesced(&g, 4)] {
             for mode in [FrontierMode::Dense, FrontierMode::Sparse] {
-                let out = run_monotone(
+                let out = run_push(
                     &sim(),
                     &Representation::Virtual {
                         graph: &g,
@@ -758,7 +668,7 @@ mod tests {
     #[test]
     fn full_sweep_counts_every_edge_every_iteration() {
         let g = fixture();
-        let out = run_monotone(
+        let out = run_push(
             &sim(),
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
@@ -779,7 +689,7 @@ mod tests {
         let coal = VirtualGraph::coalesced(&g, 10);
         let o = opts(false, SyncMode::Bsp);
         let run = |ov: &VirtualGraph| {
-            run_monotone(
+            run_push(
                 &sim(),
                 &Representation::Virtual {
                     graph: &g,

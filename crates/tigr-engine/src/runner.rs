@@ -1,6 +1,7 @@
 //! The engine facade: a builder assembling an [`ExecutionPlan`],
 //! device-memory checks, and one-call runs of each analytic.
 
+use std::cell::OnceCell;
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -12,7 +13,7 @@ use tigr_graph::Csr;
 use tigr_core::{CancelToken, PreparedGraph};
 
 use crate::algorithms::{bc, pr};
-use crate::backend::{run_sim_plan, Backend, PullSide, Sequential};
+use crate::backend::{run_monotone, transpose_rep, Backend, PullSide, Sequential};
 use crate::batch::run_solo_cpu_pool;
 use crate::cpu_parallel::{
     run_cpu_pr, run_cpu_with, CpuOptions, CpuPrOutput, CpuRunOutput, CpuSchedule,
@@ -246,8 +247,8 @@ impl Engine {
         match self.plan.backend {
             // The engine owns the simulator, so it dispatches directly
             // rather than constructing a throwaway WarpSim.
-            BackendKind::WarpSim => Ok(run_sim_plan(
-                &self.sim, rep, pull_side, prog, source, &self.plan,
+            BackendKind::WarpSim => Ok(run_monotone(
+                &self.sim, rep, prog, source, &self.plan, pull_side,
             )),
             // The pool gathers over the prepared transpose when there is
             // one, instead of building its own at the first pull sweep.
@@ -282,11 +283,7 @@ impl Engine {
         let rep = Representation::from_prepared(prepared);
         self.check_footprint(&rep)?;
         self.plan.validate(&rep, &prog)?;
-        let pull_side = prepared.transpose().map(|reverse| PullSide {
-            reverse,
-            overlay: prepared.rev_overlay(),
-        });
-        self.dispatch_monotone(&rep, pull_side, prog, source)
+        self.dispatch_monotone(&rep, prepared_pull_side(prepared), prog, source)
     }
 
     /// Runs an operator [`Pipeline`] under the assembled plan: the
@@ -329,20 +326,7 @@ impl Engine {
         let rep = Representation::from_prepared(prepared);
         self.check_footprint(&rep)?;
         self.plan.validate_pipeline(&rep, pipeline, source)?;
-        if let PipelineBody::PageRank(options) = &pipeline.body {
-            let out = self.pagerank_prepared(prepared, options)?;
-            return Ok(PipelineOutput {
-                values: float_bits(&out.ranks),
-                iterations: out.report.num_iterations() as u64,
-                converged: out.converged,
-                cancelled: out.cancelled,
-            });
-        }
-        let pull_side = prepared.transpose().map(|reverse| PullSide {
-            reverse,
-            overlay: prepared.rev_overlay(),
-        });
-        self.run_pipeline_validated(&rep, pull_side, pipeline, source)
+        self.run_pipeline_validated(&rep, prepared_pull_side(prepared), pipeline, source)
     }
 
     fn run_pipeline_validated(
@@ -377,16 +361,7 @@ impl Engine {
                 })
             }
             PipelineBody::PageRank(options) => {
-                let g = rep.graph();
-                let degrees = pr::out_degrees(g);
-                let out = if options.mode == pr::PrMode::Pull {
-                    // The pull driver gathers over the transpose; build
-                    // it here (the prepared path reuses cached views).
-                    let rev = tigr_graph::reverse::transpose(g);
-                    self.pagerank(&Representation::Original(&rev), &degrees, options)?
-                } else {
-                    self.pagerank(rep, &degrees, options)?
-                };
+                let out = self.pagerank_forward(rep, pull_side, options)?;
                 Ok(PipelineOutput {
                     values: float_bits(&out.ranks),
                     iterations: out.report.num_iterations() as u64,
@@ -438,7 +413,7 @@ impl Engine {
             plan.backend = BackendKind::Sequential;
         }
         match plan.backend {
-            BackendKind::WarpSim => Ok(run_sim_plan(&self.sim, rep, None, prog, source, &plan)),
+            BackendKind::WarpSim => Ok(run_monotone(&self.sim, rep, prog, source, &plan, None)),
             _ => Sequential.run_monotone(rep, prog, source, &plan),
         }
     }
@@ -535,42 +510,31 @@ impl Engine {
         prepared: &PreparedGraph,
         options: &pr::PrOptions,
     ) -> Result<pr::PrOutput, EngineError> {
-        let out_degrees = pr::out_degrees(prepared.graph());
+        self.pagerank_forward(
+            &Representation::from_prepared(prepared),
+            prepared_pull_side(prepared),
+            options,
+        )
+    }
+
+    /// PageRank over the forward representation `rep`: push scatters
+    /// over it, pull gathers over its transpose side — `pull_side` when
+    /// the caller holds prepared views, otherwise built the way the
+    /// monotone driver builds it, so a virtual `rep` gathers over a
+    /// mirrored virtual transpose.
+    fn pagerank_forward(
+        &self,
+        rep: &Representation<'_>,
+        pull_side: Option<PullSide<'_>>,
+        options: &pr::PrOptions,
+    ) -> Result<pr::PrOutput, EngineError> {
+        let degrees = pr::out_degrees(rep.graph());
         if options.mode != pr::PrMode::Pull {
-            return self.pagerank(
-                &Representation::from_prepared(prepared),
-                &out_degrees,
-                options,
-            );
+            return self.pagerank(rep, &degrees, options);
         }
-        let rev_owned;
-        let rev = match prepared.transpose() {
-            Some(rev) => rev,
-            None => {
-                rev_owned = tigr_graph::reverse::transpose(prepared.graph());
-                &rev_owned
-            }
-        };
-        let rov_owned;
-        let rep = match (prepared.overlay(), prepared.rev_overlay()) {
-            (Some(_), Some(rov)) => Representation::Virtual {
-                graph: rev,
-                overlay: rov,
-            },
-            (Some(ov), None) => {
-                rov_owned = if ov.is_coalesced() {
-                    tigr_core::VirtualGraph::coalesced(rev, ov.k())
-                } else {
-                    tigr_core::VirtualGraph::new(rev, ov.k())
-                };
-                Representation::Virtual {
-                    graph: rev,
-                    overlay: &rov_owned,
-                }
-            }
-            _ => Representation::Original(rev),
-        };
-        self.pagerank(&rep, &out_degrees, options)
+        let (rev_built, rov_built) = (OnceCell::new(), OnceCell::new());
+        let pull_rep = transpose_rep(rep, pull_side.as_ref(), &rev_built, &rov_built);
+        self.pagerank(&pull_rep, &degrees, options)
     }
 
     /// Runs an arbitrary monotone program (alias of
@@ -649,7 +613,7 @@ impl Engine {
         options: &pr::PrOptions,
     ) -> Result<pr::PrOutput, EngineError> {
         self.check_footprint(rep)?;
-        Ok(pr::run_cancellable(
+        Ok(pr::run(
             &self.sim,
             rep,
             out_degrees,
@@ -693,6 +657,14 @@ impl Engine {
         self.check_footprint(rep)?;
         Ok(bc::run(&self.sim, rep, source))
     }
+}
+
+/// The prepared transpose side of `prepared`, when its spec built one.
+fn prepared_pull_side(prepared: &PreparedGraph) -> Option<PullSide<'_>> {
+    prepared.transpose().map(|reverse| PullSide {
+        reverse,
+        overlay: prepared.rev_overlay(),
+    })
 }
 
 /// Reinterprets `f32` results as `u32` bit patterns
@@ -940,6 +912,47 @@ mod tests {
             .unwrap();
         let without_views = engine.pagerank_prepared(&bare, &options).unwrap();
         assert_eq!(with_views.ranks, without_views.ranks);
+    }
+
+    #[test]
+    fn pipeline_pagerank_pull_keeps_the_virtual_overlay() {
+        // Pull-mode PageRank over a virtual view gathers over the
+        // mirrored virtual transpose whether or not the views were
+        // prepared: same rank bits, same simulated cycles.
+        let store = tigr_core::GraphStore::disabled();
+        let spec = tigr_core::PrepareSpec::generated("rmat:8:6", 3).with_virtual(8, true);
+        let prepared = store.prepare(&spec).unwrap();
+        let rep = Representation::from_prepared(&prepared);
+        assert_eq!(rep.label(), "virtual+");
+        let options = pr::PrOptions {
+            mode: pr::PrMode::Pull,
+            ..pr::PrOptions::default()
+        };
+        let pipeline = Pipeline::pagerank(options);
+        let engine = Engine::new(GpuConfig::default());
+        let adhoc = engine.run_pipeline(&rep, &pipeline, None).unwrap();
+        let from_prepared = engine
+            .run_prepared_pipeline(&prepared, &pipeline, None)
+            .unwrap();
+        assert_eq!(adhoc.values, from_prepared.values);
+        assert_eq!(adhoc.iterations, from_prepared.iterations);
+
+        let gathered = engine.pagerank_forward(&rep, None, &options).unwrap();
+        let prepared_run = engine.pagerank_prepared(&prepared, &options).unwrap();
+        assert_eq!(
+            gathered.report.total_cycles(),
+            prepared_run.report.total_cycles()
+        );
+        // Gathering over the flat transpose, without the overlay, costs more.
+        let rev = tigr_graph::reverse::transpose(prepared.graph());
+        let flat = engine
+            .pagerank(
+                &Representation::Original(&rev),
+                &pr::out_degrees(prepared.graph()),
+                &options,
+            )
+            .unwrap();
+        assert!(gathered.report.total_cycles() < flat.report.total_cycles());
     }
 
     #[test]

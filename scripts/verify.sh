@@ -68,6 +68,31 @@ for dir in push auto; do
 done
 echo "cpu smoke: push and auto report steals and agree: $cpu_answer"
 
+echo "== sim driver smoke =="
+# Every simulator direction runs through the one monotone driver on a
+# one-host-thread simulator: two runs of a direction must print the
+# same counters, and push, pull and auto must reach the same fixpoint.
+sim_answer=""
+for dir in push pull auto; do
+    first=""
+    for _ in 1 2; do
+        sim_out="$(cargo run --release -q -p tigr-cli --bin tigr -- run sssp --graph "$graph_file" \
+            --direction "$dir" --stats)"
+        counters="$(echo "$sim_out" | grep -E "^(iterations|edges touched|sim cycles|warp efficiency) ")"
+        [ "$(echo "$counters" | wc -l)" -eq 4 ] \
+            || { echo "sim smoke: --direction $dir did not print all four counters"; echo "$sim_out"; exit 1; }
+        [ -z "$first" ] || [ "$counters" = "$first" ] \
+            || { echo "sim smoke: --direction $dir counters differ between runs"; diff <(echo "$first") <(echo "$counters"); exit 1; }
+        first="$counters"
+    done
+    answer="$(echo "$sim_out" | grep "nodes with non-trivial values")"
+    [ -n "$answer" ] || { echo "sim smoke: --direction $dir printed no answer"; echo "$sim_out"; exit 1; }
+    [ -z "$sim_answer" ] || [ "$answer" = "$sim_answer" ] \
+        || { echo "sim smoke: --direction $dir disagrees"; echo "$sim_answer vs $answer"; exit 1; }
+    sim_answer="$answer"
+done
+echo "sim smoke: push, pull and auto repeat their counters and agree: $sim_answer"
+
 echo "== serve smoke =="
 # One query per served algorithm against an ephemeral-port daemon; the
 # stats verb must account for exactly those five queries.

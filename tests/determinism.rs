@@ -2,10 +2,20 @@
 //! repeated executions and host-parallelism levels, and generation is
 //! seed-stable — the properties the benchmark harness relies on.
 
-use tigr::engine::{run_monotone, FrontierMode, MonotoneProgram, PushOptions, SyncMode};
+use tigr::engine::{
+    run_monotone, ExecutionPlan, FrontierMode, MonotoneProgram, PushOptions, SyncMode,
+};
 use tigr::graph::datasets;
 use tigr::{NodeId, Representation, VirtualGraph};
 use tigr_sim::{GpuConfig, GpuSimulator};
+
+/// A push-direction simulator plan over `push`.
+fn push_plan(push: PushOptions) -> ExecutionPlan {
+    ExecutionPlan {
+        push,
+        ..ExecutionPlan::default()
+    }
+}
 
 fn bsp_opts(worklist: bool) -> PushOptions {
     PushOptions {
@@ -35,7 +45,8 @@ fn bsp_runs_are_bit_identical_across_repeats_and_threads() {
             },
             MonotoneProgram::SSSP,
             Some(src),
-            &bsp_opts(true),
+            &push_plan(bsp_opts(true)),
+            None,
         )
     };
 
@@ -74,7 +85,8 @@ fn relaxed_mode_converges_to_the_same_values_regardless_of_schedule() {
             &Representation::Original(&g),
             MonotoneProgram::SSSP,
             Some(src),
-            &PushOptions::default(),
+            &push_plan(PushOptions::default()),
+            None,
         )
         .values
     };
@@ -117,7 +129,8 @@ fn frontier_runs_are_deterministic_over_seed_corpus() {
                     &Representation::Original(&g),
                     MonotoneProgram::SSSP,
                     Some(src),
-                    &opts,
+                    &push_plan(opts),
+                    None,
                 );
                 let virt = run_monotone(
                     &sim,
@@ -127,7 +140,8 @@ fn frontier_runs_are_deterministic_over_seed_corpus() {
                     },
                     MonotoneProgram::SSSP,
                     Some(src),
-                    &opts,
+                    &push_plan(opts),
+                    None,
                 );
                 (orig, virt)
             };

@@ -46,6 +46,14 @@ fn opts(worklist: bool, frontier: FrontierMode) -> PushOptions {
     }
 }
 
+/// A push-direction simulator plan over `push`.
+fn push_plan(push: PushOptions) -> ExecutionPlan {
+    ExecutionPlan {
+        push,
+        ..ExecutionPlan::default()
+    }
+}
+
 /// The dumb weight that keeps `prog` exact on a physically split graph:
 /// zero for additive programs (and inert for label copying), infinity
 /// for the min-weight bottleneck fold.
@@ -95,9 +103,9 @@ proptest! {
         for prog in PROGRAMS {
             let source = prog.needs_source().then_some(src);
             for (label, rep) in &reps {
-                let full = run_monotone(&sim, rep, prog, source, &opts(false, FrontierMode::Auto));
+                let full = run_monotone(&sim, rep, prog, source, &push_plan(opts(false, FrontierMode::Auto)), None);
                 for mode in MODES {
-                    let out = run_monotone(&sim, rep, prog, source, &opts(true, mode));
+                    let out = run_monotone(&sim, rep, prog, source, &push_plan(opts(true, mode)), None);
                     prop_assert_eq!(
                         &out.values, &full.values,
                         "{}/{}/{} diverged from full sweep", prog.name, label, mode.label()
@@ -131,9 +139,9 @@ proptest! {
                 ("clique", clique_transform(&g, k, dumb)),
             ] {
                 let rep = Representation::Physical(&t);
-                let full = run_monotone(&sim, &rep, prog, source, &opts(false, FrontierMode::Auto));
+                let full = run_monotone(&sim, &rep, prog, source, &push_plan(opts(false, FrontierMode::Auto)), None);
                 for mode in MODES {
-                    let out = run_monotone(&sim, &rep, prog, source, &opts(true, mode));
+                    let out = run_monotone(&sim, &rep, prog, source, &push_plan(opts(true, mode)), None);
                     prop_assert_eq!(
                         &out.values, &full.values,
                         "{}/{}/{} diverged from full sweep", prog.name, label, mode.label()

@@ -1,7 +1,9 @@
 //! Push and pull drivers must reach identical fixpoints — the
 //! cross-scheme differential test over all programs and overlays.
 
-use tigr::engine::{run_monotone, run_monotone_pull, MonotoneProgram, PullOptions, PushOptions};
+use tigr::engine::{
+    run_monotone, Direction, ExecutionPlan, MonotoneProgram, PullSide, PushOptions,
+};
 use tigr::graph::datasets;
 use tigr::graph::reverse::transpose;
 use tigr::{NodeId, Representation, VirtualGraph};
@@ -13,6 +15,25 @@ fn fixture() -> (tigr::Csr, tigr::Csr) {
         .generate_weighted(8192, 13);
     let rev = transpose(&g);
     (g, rev)
+}
+
+/// A forced pull that gathers every in-edge each iteration.
+fn pull_plan() -> ExecutionPlan {
+    ExecutionPlan {
+        direction: Direction::Pull,
+        push: PushOptions {
+            worklist: false,
+            ..PushOptions::default()
+        },
+        ..ExecutionPlan::default()
+    }
+}
+
+fn pull_side<'a>(rev: &'a tigr::Csr, overlay: Option<&'a VirtualGraph>) -> Option<PullSide<'a>> {
+    Some(PullSide {
+        reverse: rev,
+        overlay,
+    })
 }
 
 #[test]
@@ -33,14 +54,16 @@ fn push_and_pull_agree_on_every_monotone_program() {
             &Representation::Original(&g),
             prog,
             source,
-            &PushOptions::default(),
+            &ExecutionPlan::default(),
+            None,
         );
-        let pull = run_monotone_pull(
+        let pull = run_monotone(
             &sim,
-            &Representation::Original(&rev),
+            &Representation::Original(&g),
             prog,
             source,
-            &PullOptions::default(),
+            &pull_plan(),
+            pull_side(&rev, None),
         );
         assert!(push.converged && pull.converged, "{}", prog.name);
         assert_eq!(push.values, pull.values, "{} differs", prog.name);
@@ -52,6 +75,7 @@ fn pull_over_coalesced_overlay_agrees() {
     let (g, rev) = fixture();
     let sim = GpuSimulator::new_parallel(GpuConfig::default());
     let src = NodeId::new(0);
+    let forward = VirtualGraph::coalesced(&g, 10);
     let overlay = VirtualGraph::coalesced(&rev, 10);
 
     let push = run_monotone(
@@ -59,17 +83,19 @@ fn pull_over_coalesced_overlay_agrees() {
         &Representation::Original(&g),
         MonotoneProgram::SSSP,
         Some(src),
-        &PushOptions::default(),
+        &ExecutionPlan::default(),
+        None,
     );
-    let pull = run_monotone_pull(
+    let pull = run_monotone(
         &sim,
         &Representation::Virtual {
-            graph: &rev,
-            overlay: &overlay,
+            graph: &g,
+            overlay: &forward,
         },
         MonotoneProgram::SSSP,
         Some(src),
-        &PullOptions::default(),
+        &pull_plan(),
+        pull_side(&rev, Some(&overlay)),
     );
     assert_eq!(push.values, pull.values);
 }
@@ -85,18 +111,17 @@ fn pull_over_otf_mapping_agrees() {
         &Representation::Original(&g),
         MonotoneProgram::SSWP,
         Some(src),
-        &PushOptions::default(),
+        &ExecutionPlan::default(),
+        None,
     );
-    let mapper = tigr::core::OnTheFlyMapper::new(&rev, 10);
-    let pull = run_monotone_pull(
+    let mapper = tigr::core::OnTheFlyMapper::new(&g, 10);
+    let pull = run_monotone(
         &sim,
-        &Representation::OnTheFly {
-            graph: &rev,
-            mapper,
-        },
+        &Representation::OnTheFly { graph: &g, mapper },
         MonotoneProgram::SSWP,
         Some(src),
-        &PullOptions::default(),
+        &pull_plan(),
+        pull_side(&rev, None),
     );
     assert_eq!(push.values, pull.values);
 }
@@ -112,7 +137,8 @@ fn direction_optimizing_bfs_agrees_with_both() {
         &Representation::Original(&g.without_weights()),
         MonotoneProgram::BFS,
         Some(src),
-        &PushOptions::default(),
+        &ExecutionPlan::default(),
+        None,
     );
     let hybrid = tigr::engine::dobfs::run(
         &sim,
